@@ -107,6 +107,7 @@ class HPCGPTSystem:
     def __init__(self, config: HPCGPTConfig | None = None) -> None:
         self.config = config or PAPER_PRESET
         self._registry: ModelRegistry | None = None
+        self._tokenizer = None
         self._bundle: DatasetBundle | None = None
         self._finetuned: dict[str, CausalLM] = {}
         self._engines: dict[str, InferenceEngine] = {}
@@ -126,36 +127,51 @@ class HPCGPTSystem:
 
     # -- substrate accessors -------------------------------------------------
 
+    # First builds of the shared substrate take the build lock
+    # (double-checked): retrieval reaches them from outside any build,
+    # so a cold server's first ingest would otherwise race the answer
+    # worker's build into two registries.
+
     @property
     def knowledge_base(self):
         if self._knowledge is None:
-            self._knowledge = build_knowledge_base(
-                plp_entries_per_category=self.config.plp_entries_per_category,
-                mlperf_rows=self.config.mlperf_rows,
-                seed=self.config.seed,
-            )
+            with self._build_lock:
+                if self._knowledge is None:
+                    self._knowledge = build_knowledge_base(
+                        plp_entries_per_category=self.config.plp_entries_per_category,
+                        mlperf_rows=self.config.mlperf_rows,
+                        seed=self.config.seed,
+                    )
         return self._knowledge
 
     @property
     def registry(self) -> ModelRegistry:
         if self._registry is None:
-            extra = [c.text for c in self.knowledge_base]
-            pool = generate_training_pool(
-                n_per_category=4, seed=self.config.seed + 1
-            )
-            extra += [s.source for s in pool]
-            extra.append(race_instruction("for (i = 0; i < n; i++) a[i] = b[i];", "C/C++"))
-            self._registry = ModelRegistry(
-                model_config=self.config.model,
-                pretrain_config=self.config.pretrain,
-                extra_tokenizer_texts=extra,
-                cache_dir=self.cache_dir if self.cache_dir else None,
-            )
+            with self._build_lock:
+                if self._registry is None:
+                    extra = [c.text for c in self.knowledge_base]
+                    pool = generate_training_pool(
+                        n_per_category=4, seed=self.config.seed + 1
+                    )
+                    extra += [s.source for s in pool]
+                    extra.append(race_instruction(
+                        "for (i = 0; i < n; i++) a[i] = b[i];", "C/C++"
+                    ))
+                    self._registry = ModelRegistry(
+                        model_config=self.config.model,
+                        pretrain_config=self.config.pretrain,
+                        extra_tokenizer_texts=extra,
+                        cache_dir=self.cache_dir if self.cache_dir else None,
+                    )
         return self._registry
 
     @property
     def tokenizer(self):
-        return self.registry.tokenizer()
+        if self._tokenizer is None:
+            with self._build_lock:
+                if self._tokenizer is None:
+                    self._tokenizer = self.registry.tokenizer()
+        return self._tokenizer
 
     def ontology(self) -> HPCOntology:
         if self._ontology is None:

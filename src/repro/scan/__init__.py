@@ -11,13 +11,14 @@ at once — the "scan my repo" workload of real race-detection tooling:
 * :mod:`repro.scan.pipeline` — the orchestrator: dedupe, cache lookup,
   tool ensemble in a worker pool, LLM margins in large engine batches;
 * :mod:`repro.scan.report` / :mod:`repro.scan.sarif` — aggregation and
-  the JSON / SARIF 2.1.0 emitters;
-* :mod:`repro.scan.jobs` — the async job queue behind ``POST /api/scan``.
+  the JSON / SARIF 2.1.0 emitters.
+
+The async job queue behind ``POST /api/scan`` lives in
+:mod:`repro.serve.jobs`.
 """
 
 from repro.scan.cache import VerdictCache, kernel_key
 from repro.scan.extractor import ExtractedKernel, extract_kernels
-from repro.scan.jobs import Job, JobQueue, ScanJobQueue
 from repro.scan.pipeline import ScanConfig, ScanPipeline
 from repro.scan.report import KernelResult, ScanReport
 from repro.scan.sarif import to_sarif
@@ -27,9 +28,6 @@ __all__ = [
     "ExtractedKernel",
     "KernelResult",
     "ScanConfig",
-    "Job",
-    "JobQueue",
-    "ScanJobQueue",
     "ScanPipeline",
     "ScanReport",
     "SourceFile",

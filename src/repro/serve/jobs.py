@@ -2,16 +2,14 @@
 
 ``POST /api/scan`` and ``POST /api/update`` must not block the HTTP
 handler (a repository scan or a continual-learning update can take
-minutes), and must not stampede the model: jobs run one at a time on a
-single daemon worker, while submission and status polling are O(1)
-dictionary operations.  Finished jobs keep their result until the queue
-is closed (a bounded history evicts the oldest finished jobs).
+minutes), and must not stampede the model: every job runs on one daemon
+worker in submission order, so a scan and an update never overlap,
+while submission and status polling are O(1) dictionary operations.
+Finished jobs keep their result until the queue is closed (a bounded
+history evicts the oldest finished jobs).
 
-:class:`JobQueue` is generic — a *kind* names the job-id prefix, a
-*subject_key* names how the job's subject serialises (``"path"`` for
-scans, ``"version"`` for updates), and a *result_key* names the result
-field.  :class:`ScanJobQueue` keeps the original scan-flavoured
-defaults.
+A job's *kind* names its runner, its id prefix (``scan-000001``) and
+how it serialises (:data:`FIELDS`).
 """
 
 from __future__ import annotations
@@ -25,14 +23,19 @@ from typing import Any, Callable
 
 QUEUED, RUNNING, DONE, ERROR = "queued", "running", "done", "error"
 
+#: Per kind, the JSON field names of the job's subject and result.
+FIELDS = {"scan": ("path", "report"), "update": ("version", "result")}
+
+#: Finished jobs kept for polling; older ones are evicted first.
+MAX_FINISHED = 64
+
 
 @dataclass
 class Job:
     id: str
+    kind: str
     subject: str
     options: dict = field(default_factory=dict)
-    subject_key: str = "path"
-    result_key: str = "report"
     status: str = QUEUED
     result: dict | None = None
     error: str | None = None
@@ -40,15 +43,11 @@ class Job:
     started_at: float | None = None
     finished_at: float | None = None
 
-    @property
-    def path(self) -> str:
-        """Back-compat alias: a scan job's subject is its path."""
-        return self.subject
-
-    def to_dict(self, include_result: bool = True) -> dict:
+    def to_dict(self) -> dict:
+        subject_key, result_key = FIELDS[self.kind]
         out = {
             "id": self.id,
-            self.subject_key: self.subject,
+            subject_key: self.subject,
             "status": self.status,
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
@@ -56,39 +55,25 @@ class Job:
         }
         if self.error is not None:
             out["error"] = self.error
-        if include_result and self.result is not None:
-            out[self.result_key] = self.result
+        if self.result is not None:
+            out[result_key] = self.result
         return out
 
 
-#: Back-compat name (the queue predates non-scan jobs).
-ScanJob = Job
-
-
 class JobQueue:
-    """One worker thread draining jobs through a runner callable.
+    """One worker thread draining jobs of every kind in submission order.
 
-    ``runner(subject, options) -> dict`` does the actual work and
+    ``runners`` maps each kind in :data:`FIELDS` to
+    ``runner(subject, options) -> dict``, which does the work and
     returns the JSON-ready result; exceptions mark the job ``error``
     (the queue itself never dies).
     """
 
-    def __init__(
-        self,
-        runner: Callable[[str, dict], dict],
-        max_finished: int = 64,
-        kind: str = "scan",
-        subject_key: str = "path",
-        result_key: str = "report",
-    ) -> None:
-        self._runner = runner
-        self._max_finished = max_finished
-        self._kind = kind
-        self._subject_key = subject_key
-        self._result_key = result_key
+    def __init__(self, runners: dict[str, Callable[[str, dict], dict]]) -> None:
+        self._runners = dict(runners)
+        self._counters = {kind: itertools.count(1) for kind in self._runners}
         self._jobs: dict[str, Job] = {}
         self._order: list[str] = []  # submission order, for eviction
-        self._counter = itertools.count(1)
         self._queue: "queue.Queue[Any]" = queue.Queue()
         self._lock = threading.Lock()
         self._closed = False
@@ -97,16 +82,15 @@ class JobQueue:
 
     # -- API -----------------------------------------------------------------
 
-    def submit(self, subject: str, options: dict | None = None) -> Job:
+    def submit(self, kind: str, subject: str, options: dict | None = None) -> Job:
         with self._lock:
             if self._closed:
                 raise RuntimeError(f"{type(self).__name__} is closed")
             job = Job(
-                id=f"{self._kind}-{next(self._counter):06d}",
+                id=f"{kind}-{next(self._counters[kind]):06d}",
+                kind=kind,
                 subject=str(subject),
                 options=dict(options or {}),
-                subject_key=self._subject_key,
-                result_key=self._result_key,
             )
             self._jobs[job.id] = job
             self._order.append(job.id)
@@ -114,13 +98,11 @@ class JobQueue:
         self._queue.put(job.id)
         return job
 
-    def get(self, job_id: str) -> Job | None:
+    def get(self, kind: str, job_id: str) -> Job | None:
+        """The job ``job_id`` if it exists and is of ``kind``."""
         with self._lock:
-            return self._jobs.get(job_id)
-
-    def jobs(self) -> list[Job]:
-        with self._lock:
-            return [self._jobs[i] for i in self._order if i in self._jobs]
+            job = self._jobs.get(job_id)
+        return job if job is not None and job.kind == kind else None
 
     def close(self, timeout: float = 10.0) -> None:
         with self._lock:
@@ -135,7 +117,7 @@ class JobQueue:
     def _evict_locked(self) -> None:
         finished = [i for i in self._order
                     if self._jobs[i].status in (DONE, ERROR)]
-        while len(finished) > self._max_finished:
+        while len(finished) > MAX_FINISHED:
             victim = finished.pop(0)
             self._jobs.pop(victim, None)
             self._order.remove(victim)
@@ -152,13 +134,9 @@ class JobQueue:
             job.status = RUNNING
             job.started_at = time.time()
             try:
-                job.result = self._runner(job.subject, job.options)
+                job.result = self._runners[job.kind](job.subject, job.options)
                 job.status = DONE
             except Exception as exc:  # noqa: BLE001 - report, keep serving
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.status = ERROR
             job.finished_at = time.time()
-
-
-class ScanJobQueue(JobQueue):
-    """The repository-scan queue (original defaults)."""

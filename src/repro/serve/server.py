@@ -22,16 +22,16 @@ Endpoints (JSON over HTTP, stdlib ``http.server`` — no dependencies):
   continual-learning job: resumes training on the new instruction
   records through the unified trainer, recalibrates the detection
   threshold, persists the update checkpoint, and rebuilds the engine
-  (submission is non-blocking; the retrain phase holds the system
-  lock, so answer/detect traffic queues until it completes);
+  (submission is non-blocking; the retrain holds the model lock, so
+  answer/detect traffic queues until it completes);
 * ``GET  /api/update/<id>`` — update job status + result when done.
 
 ``ThreadingHTTPServer`` handles each request on its own thread, so
-requests are funnelled through a :class:`ServingFrontend`: first-touch
-model builds are serialised behind the system's build lock, and
-concurrent inference requests are micro-batched — collected for a few
-milliseconds and decoded together through the batched engine — instead
-of racing unsynchronised threads into a shared model.
+requests are funnelled through a :class:`ServingFrontend`, which calls
+a :class:`ServedSystem` directly: concurrent inference requests are
+micro-batched — collected for a few milliseconds and decoded together
+through the batched engine under one model lock — instead of racing
+unsynchronised threads into a shared model.  Malformed bodies are 400s.
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Protocol
 
 from repro.llm.engine import MicroBatcher
+from repro.serve.jobs import JobQueue
 from repro.utils.languages import UnknownLanguageError, normalize_language
 
 _GUI_HTML = """<!doctype html>
@@ -69,45 +71,63 @@ async function detect(e){e.preventDefault();
 """
 
 
-class ServingFrontend:
-    """Thread-safe facade between the HTTP handlers and the system.
+class ServedSystem(Protocol):
+    """Exactly what :class:`ServingFrontend` calls on its system.
 
-    Two micro-batching queues (one per op kind) gather concurrent
-    requests for ``window_ms`` and serve each gathered batch in one
-    batched call — ``answer_batch`` / ``detect_race_batch`` when the
-    system provides them (the engine-backed :class:`HPCGPTSystem` does),
-    falling back to per-item calls otherwise (e.g. test stubs).  One
-    lock serialises *every* touch of the system — the two queue workers
-    and the ``/health`` path — so lazy first-request builds can never
-    interleave (even for systems without their own build lock) and the
-    model only ever runs one forward at a time.
+    :class:`repro.core.HPCGPTSystem` implements it, and so do the test
+    stubs.  The system guards its own lazy builds and retrieval state;
+    the frontend only keeps forwards and updates apart."""
+
+    def answer_batch(self, questions: list[str], version: str = "l2") -> list[str]: ...
+
+    def answer_retrieval_batch(
+        self, questions: list[str], version: str = "l2"
+    ) -> list[str]: ...
+
+    def detect_race_batch(self, codes: list[str], language: str = "C/C++") -> list[str]: ...
+
+    def index_documents(self, documents: list, max_tokens: int = 128) -> dict: ...
+
+    def retrieval_stats(self) -> dict: ...
+
+    def finetuned(self, version: str = "l2") -> Any: ...
+
+    def update_with(self, records: list, version: str = "l2",
+                    epochs: int | None = None) -> Any: ...
+
+    def threshold(self, version: str = "l2") -> float: ...
+
+    def engine(self, version: str = "l2") -> Any: ...
+
+
+class ServingFrontend:
+    """Thread-safe facade between the HTTP handlers and a
+    :class:`ServedSystem`.
+
+    One lock, the model lock, keeps forwards and updates apart.  It is
+    taken by each micro-batch (two :class:`MicroBatcher` queues, one per
+    op kind, gather concurrent requests for ``window_ms`` and serve each
+    batch in one batched call), by a scan's engine phase, and by an
+    update job end to end.  Health and retrieval calls go straight to
+    the system: it returns a built model without locking and serialises
+    retrieval behind its own lock.  Scans and updates share one job
+    worker, so they run one at a time in submission order — a scan
+    captures the engine and its cache fingerprint at start, and an
+    update landing mid-scan would leave it scoring through stale state.
     """
 
-    def __init__(self, system, window_ms: float = 5.0, max_batch: int = 16) -> None:
+    def __init__(self, system: ServedSystem, window_ms: float = 5.0,
+                 max_batch: int = 16) -> None:
         self.system = system
         self._system_lock = threading.Lock()
         self._answer_queue = MicroBatcher(self._answer_many, window_ms, max_batch)
         self._detect_queue = MicroBatcher(self._detect_many, window_ms, max_batch)
-        self._scan_queue = None  # lazily built on first /api/scan
-        self._scan_queue_lock = threading.Lock()
-        self._update_queue = None  # lazily built on first /api/update
-        self._update_queue_lock = threading.Lock()
-        # Last model served per version: lets /health answer while an
-        # update job holds the system lock for a multi-minute retrain
-        # (liveness probes must not time out mid-update).
-        self._model_cache: dict[str, object] = {}
-        # Scans and updates run on separate queue workers; this mutex
-        # keeps them mutually exclusive.  A scan captures the engine and
-        # its cache fingerprint (model + threshold) at start, so an
-        # update landing mid-scan would have it score through stale
-        # engine state and persist post-update verdicts under the
-        # pre-update cache key.  Answer/detect traffic is unaffected.
-        self._maintenance_lock = threading.Lock()
+        self.jobs = JobQueue({"scan": self._scan_runner, "update": self._update_runner})
 
     # -- batch runners (worker threads) --------------------------------------
 
     def _dispatch_grouped(self, items, run_group) -> list:
-        """Dispatch ``(payload, key)`` items under the system lock:
+        """Dispatch ``(payload, key)`` items under the model lock:
         group by key and run ``run_group(payloads, key)`` once per group.
 
         Failures are isolated per group: a slot holding an ``Exception``
@@ -131,60 +151,22 @@ class ServingFrontend:
                     results[i] = out
             return results
 
-    def _run_grouped(self, items, batched, single, kwarg: str) -> list:
-        """Grouped dispatch through a ``batched(payloads, key=...)``
-        call when the system provides one, else per-item ``single``
-        calls (isolated per item)."""
-
-        def run_group(payloads, key):
-            if batched is not None:
-                return batched(payloads, **{kwarg: key})
-            outs: list = []
-            for payload in payloads:
-                try:
-                    outs.append(single(payload, **{kwarg: key}))
-                except Exception as exc:  # noqa: BLE001 - isolate per item
-                    outs.append(exc)
-            return outs
-
-        return self._dispatch_grouped(items, run_group)
-
     def _answer_many(self, items: list[tuple[str, tuple[str, bool]]]) -> list:
         """Answer a micro-batch of ``(question, (version, retrieval))``
         items: one batched call per (version, retrieval) group."""
+
+        def run_group(questions, key):
+            version, retrieval = key
+            if retrieval:
+                return self.system.answer_retrieval_batch(questions, version=version)
+            return self.system.answer_batch(questions, version=version)
+
+        return self._dispatch_grouped(items, run_group)
+
+    def _detect_many(self, items: list[tuple[str, str]]) -> list:
         return self._dispatch_grouped(
-            items, lambda questions, key: self._answer_group(questions, *key)
-        )
-
-    def _answer_group(self, questions: list[str], version: str, retrieval: bool) -> list:
-        """One homogeneous answer group: the batched system call when
-        available, else per-item calls with per-item isolation."""
-        if retrieval:
-            batched = getattr(self.system, "answer_retrieval_batch", None)
-            single = getattr(self.system, "answer_with_retrieval", None)
-            if batched is None and single is None:
-                raise RuntimeError(
-                    "system does not support retrieval-augmented answering"
-                )
-        else:
-            batched = getattr(self.system, "answer_batch", None)
-            single = self.system.answer
-        if batched is not None:
-            return batched(questions, version=version)
-        outs: list = []
-        for q in questions:
-            try:
-                outs.append(single(q, version=version))
-            except Exception as exc:  # noqa: BLE001 - isolate per item
-                outs.append(exc)
-        return outs
-
-    def _detect_many(self, items: list[tuple[str, str]]) -> list[str]:
-        return self._run_grouped(
             items,
-            getattr(self.system, "detect_race_batch", None),
-            self.system.detect_race,
-            "language",
+            lambda codes, language: self.system.detect_race_batch(codes, language=language),
         )
 
     # -- request API (handler threads) ---------------------------------------
@@ -192,70 +174,27 @@ class ServingFrontend:
     def answer(self, question: str, version: str = "l2", retrieval: bool = False) -> str:
         return self._answer_queue.submit((question, (version, bool(retrieval))))
 
-    def supports_retrieval(self) -> bool:
-        return any(
-            getattr(self.system, name, None) is not None
-            for name in ("answer_retrieval_batch", "answer_with_retrieval")
-        )
-
     def detect(self, code: str, language: str = "C/C++") -> str:
         return self._detect_queue.submit((code, language))
-
-    # -- §5 knowledge ingestion (retrieval index) -----------------------------
-
-    def _call_retrieval(self, fn, *args, **kwargs):
-        """Run a retrieval operation, preferring the system lock but not
-        insisting on it: the system guards all retrieval state with its
-        own lock, so when an update job holds the system lock for a
-        multi-minute retrain, index reads/ingestion proceed instead of
-        timing out (the same liveness pattern as /health)."""
-        if self._system_lock.acquire(timeout=0.05):
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                self._system_lock.release()
-        return fn(*args, **kwargs)
 
     def ingest(self, documents: list, max_tokens: int | None = None) -> dict:
         """Chunk, embed, and index posted documents (the system's
         retrieval lock serialises this against concurrent
         retrieval-grounded answers)."""
-        fn = getattr(self.system, "index_documents", None)
-        if fn is None:
-            raise NotImplementedError("system has no retrieval subsystem")
         kwargs = {} if max_tokens is None else {"max_tokens": int(max_tokens)}
-        return self._call_retrieval(fn, documents, **kwargs)
+        return self.system.index_documents(documents, **kwargs)
 
     def knowledge_stats(self) -> dict:
-        fn = getattr(self.system, "retrieval_stats", None)
-        if fn is None:
-            raise NotImplementedError("system has no retrieval subsystem")
-        return self._call_retrieval(fn)
+        return self.system.retrieval_stats()
 
     def finetuned(self, version: str = "l2"):
-        if self._system_lock.acquire(timeout=0.05):
-            try:
-                model = self.system.finetuned(version)
-                self._model_cache[version] = model
-                return model
-            finally:
-                self._system_lock.release()
-        # Lock busy (e.g. an update retraining): serve the last-known
-        # model so /health stays live.  Cold systems (nothing cached
-        # yet) still wait for the first build.
-        model = self._model_cache.get(version)
-        if model is not None:
-            return model
-        with self._system_lock:
-            model = self.system.finetuned(version)
-            self._model_cache[version] = model
-            return model
+        return self.system.finetuned(version)
 
-    # -- repository scans (async job queue) ----------------------------------
+    # -- async jobs: repository scans and §5 updates -------------------------
 
     def _scan_runner(self, path: str, options: dict) -> dict:
         """One scan job: build a pipeline from the request options and
-        run it.  Only the engine phase takes the system lock (via
+        run it.  Only the engine phase takes the model lock (via
         ``llm_lock``), so answer/detect traffic keeps flowing while the
         walker, extractor, and tool ensemble work."""
         from repro.scan import ScanConfig, ScanPipeline
@@ -264,7 +203,7 @@ class ServingFrontend:
             languages=tuple(options["languages"]) if options.get("languages") else None,
             tools_only=bool(options.get("tools_only", False)),
             use_cache=not options.get("no_cache", False),
-            jobs=int(options.get("jobs", 4)),
+            jobs=options.get("jobs", 4),
             strategies=tuple(options["strategies"])
             if options.get("strategies") else ("random",),
         )
@@ -273,28 +212,11 @@ class ServingFrontend:
             config=config,
             llm_lock=self._system_lock,
         )
-        with self._maintenance_lock:
-            return pipeline.scan(path).to_dict()
-
-    def scan_submit(self, path: str, options: dict):
-        from repro.scan import ScanJobQueue
-
-        with self._scan_queue_lock:
-            if self._scan_queue is None:
-                self._scan_queue = ScanJobQueue(self._scan_runner)
-            return self._scan_queue.submit(path, options)
-
-    def scan_job(self, job_id: str):
-        with self._scan_queue_lock:
-            if self._scan_queue is None:
-                return None
-        return self._scan_queue.get(job_id)
-
-    # -- §5 continual updates (async job queue) ------------------------------
+        return pipeline.scan(path).to_dict()
 
     def _update_runner(self, version: str, options: dict) -> dict:
         """One update job: resume training on the new records, then
-        leave the system serving the updated model.  Holds the system
+        leave the system serving the updated model.  Holds the model
         lock end-to-end — answers served mid-retrain would mix weights
         from half-applied steps."""
         import dataclasses
@@ -317,13 +239,12 @@ class ServingFrontend:
 
         records = [parse(d) for d in options["records"]]
         epochs = options.get("epochs")
-        with self._maintenance_lock, self._system_lock:
+        with self._system_lock:
             stats = self.system.update_with(records, version=version, epochs=epochs)
             threshold = self.system.threshold(version)
-            if hasattr(self.system, "engine"):
-                # Rebuild eagerly so the first post-update request does
-                # not pay the engine warm-up.
-                self.system.engine(version)
+            # Rebuild eagerly so the first post-update request does not
+            # pay the engine warm-up.
+            self.system.engine(version)
         result = {"version": version, "n_records": len(records),
                   "threshold": float(threshold)}
         if stats is not None:
@@ -335,32 +256,44 @@ class ServingFrontend:
             )
         return result
 
-    def update_submit(self, version: str, options: dict):
-        from repro.scan import JobQueue
-
-        with self._update_queue_lock:
-            if self._update_queue is None:
-                self._update_queue = JobQueue(
-                    self._update_runner, kind="update",
-                    subject_key="version", result_key="result",
-                )
-            return self._update_queue.submit(version, options)
-
-    def update_job(self, job_id: str):
-        with self._update_queue_lock:
-            if self._update_queue is None:
-                return None
-        return self._update_queue.get(job_id)
-
     def close(self) -> None:
         self._answer_queue.close()
         self._detect_queue.close()
-        with self._scan_queue_lock:
-            if self._scan_queue is not None:
-                self._scan_queue.close()
-        with self._update_queue_lock:
-            if self._update_queue is not None:
-                self._update_queue.close()
+        self.jobs.close()
+
+
+class _BadRequest(Exception):
+    """A malformed request body: answered with HTTP 400."""
+
+
+def _text_field(payload: dict, key: str) -> str:
+    """``payload[key]`` as a non-empty, stripped string."""
+    value = payload.get(key, "")
+    if not isinstance(value, str):
+        raise _BadRequest(f"{key!r} must be a string")
+    if not value.strip():
+        raise _BadRequest(f"missing {key!r}")
+    return value.strip()
+
+
+def _positive_int(payload: dict, key: str) -> int | None:
+    """``payload[key]`` as an integer >= 1, or ``None`` when absent."""
+    if payload.get(key) is None:
+        return None
+    try:
+        value = int(payload[key])
+    except (TypeError, ValueError):
+        raise _BadRequest(f"{key!r} must be an integer") from None
+    if value < 1:
+        raise _BadRequest(f"{key!r} must be >= 1")
+    return value
+
+
+def _version(payload: dict) -> str:
+    version = payload.get("version", "l2")
+    if version not in ("l1", "l2"):
+        raise _BadRequest(f"unknown version {version!r}; have ['l1', 'l2']")
+    return version
 
 
 class HPCGPTRequestHandler(BaseHTTPRequestHandler):
@@ -386,7 +319,13 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
     def _read_json(self) -> dict:
         length = int(self.headers.get("Content-Length", "0"))
         raw = self.rfile.read(length) if length else b"{}"
-        return json.loads(raw.decode("utf-8"))
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except ValueError:
+            raise _BadRequest("invalid JSON body") from None
+        if not isinstance(payload, dict):
+            raise _BadRequest("JSON body must be an object")
+        return payload
 
     def log_message(self, fmt, *args):  # pragma: no cover - silence
         pass
@@ -396,25 +335,15 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:
         if self.path == "/":
             self._send(200, _GUI_HTML, content_type="text/html")
-        elif self.path.startswith("/api/scan/"):
-            job_id = self.path[len("/api/scan/"):]
-            job = self.frontend.scan_job(job_id)
+        elif self.path.startswith(("/api/scan/", "/api/update/")):
+            _, _, kind, job_id = self.path.split("/", 3)
+            job = self.frontend.jobs.get(kind, job_id)
             if job is None:
-                self._send(404, {"error": f"unknown scan job {job_id!r}"})
-            else:
-                self._send(200, job.to_dict())
-        elif self.path.startswith("/api/update/"):
-            job_id = self.path[len("/api/update/"):]
-            job = self.frontend.update_job(job_id)
-            if job is None:
-                self._send(404, {"error": f"unknown update job {job_id!r}"})
+                self._send(404, {"error": f"unknown {kind} job {job_id!r}"})
             else:
                 self._send(200, job.to_dict())
         elif self.path == "/api/knowledge":
-            try:
-                self._send(200, self.frontend.knowledge_stats())
-            except NotImplementedError as exc:
-                self._send(501, {"error": str(exc)})
+            self._send(200, self.frontend.knowledge_stats())
         elif self.path == "/health":
             model = self.frontend.finetuned("l2")
             self._send(
@@ -430,88 +359,59 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
             self._send(404, {"error": f"unknown path {self.path}"})
 
     def do_POST(self) -> None:
+        routes = {
+            "/api/answer": self._post_answer,
+            "/api/detect": self._post_detect,
+            "/api/knowledge": self._post_knowledge,
+            "/api/scan": self._post_scan,
+            "/api/update": self._post_update,
+        }
         try:
             payload = self._read_json()
-        except json.JSONDecodeError:
-            self._send(400, {"error": "invalid JSON body"})
-            return
-        if self.path == "/api/answer":
-            question = payload.get("question", "").strip()
-            if not question:
-                self._send(400, {"error": "missing 'question'"})
-                return
-            version = payload.get("version", "l2")
-            retrieval = bool(payload.get("retrieval", False))
-            if retrieval and not self.frontend.supports_retrieval():
-                self._send(
-                    501,
-                    {"error": "system does not support retrieval-augmented answering"},
-                )
-                return
-            answer = self.frontend.answer(question, version=version, retrieval=retrieval)
-            self._send(
-                200,
-                {
-                    "question": question,
-                    "answer": answer,
-                    "version": version,
-                    "retrieval": retrieval,
-                },
-            )
-        elif self.path == "/api/detect":
-            code = payload.get("code", "")
-            if not code.strip():
-                self._send(400, {"error": "missing 'code'"})
-                return
-            try:
-                language = normalize_language(payload.get("language", "C/C++"))
-            except UnknownLanguageError as exc:
-                self._send(400, {"error": str(exc)})
-                return
-            verdict = self.frontend.detect(code, language=language)
-            self._send(200, {"language": language, "data_race": verdict})
-        elif self.path == "/api/knowledge":
-            self._post_knowledge(payload)
-        elif self.path == "/api/scan":
-            self._post_scan(payload)
-        elif self.path == "/api/update":
-            self._post_update(payload)
-        else:
-            self._send(404, {"error": f"unknown path {self.path}"})
+            route = routes.get(self.path)
+            if route is None:
+                self._send(404, {"error": f"unknown path {self.path}"})
+            else:
+                route(payload)
+        except (_BadRequest, UnknownLanguageError) as exc:
+            self._send(400, {"error": str(exc)})
+
+    def _post_answer(self, payload: dict) -> None:
+        question = _text_field(payload, "question")
+        version = _version(payload)
+        retrieval = bool(payload.get("retrieval", False))
+        answer = self.frontend.answer(question, version=version, retrieval=retrieval)
+        self._send(
+            200,
+            {
+                "question": question,
+                "answer": answer,
+                "version": version,
+                "retrieval": retrieval,
+            },
+        )
+
+    def _post_detect(self, payload: dict) -> None:
+        code = _text_field(payload, "code")
+        language = normalize_language(payload.get("language", "C/C++"))
+        verdict = self.frontend.detect(code, language=language)
+        self._send(200, {"language": language, "data_race": verdict})
 
     def _post_knowledge(self, payload: dict) -> None:
         documents = payload.get("documents")
         if not isinstance(documents, list) or not documents:
-            self._send(400, {"error": "missing 'documents' (non-empty list)"})
-            return
+            raise _BadRequest("missing 'documents' (non-empty list)")
         for i, doc in enumerate(documents):
             if isinstance(doc, str):
                 if not doc.strip():
-                    self._send(400, {"error": f"documents[{i}] is empty"})
-                    return
+                    raise _BadRequest(f"documents[{i}] is empty")
             elif not isinstance(doc, dict) or not str(doc.get("text", "")).strip():
-                self._send(
-                    400, {"error": f"documents[{i}] needs a non-empty 'text' field"}
-                )
-                return
-        max_tokens = payload.get("max_tokens")
-        if max_tokens is not None:
-            try:
-                max_tokens = int(max_tokens)
-            except (TypeError, ValueError):
-                self._send(400, {"error": "'max_tokens' must be an integer"})
-                return
-            if max_tokens < 1:
-                self._send(400, {"error": "'max_tokens' must be >= 1"})
-                return
+                raise _BadRequest(f"documents[{i}] needs a non-empty 'text' field")
+        max_tokens = _positive_int(payload, "max_tokens")
         try:
             result = self.frontend.ingest(documents, max_tokens=max_tokens)
-        except NotImplementedError as exc:
-            self._send(501, {"error": str(exc)})
-            return
         except ValueError as exc:
-            self._send(400, {"error": str(exc)})
-            return
+            raise _BadRequest(str(exc)) from None
         self._send(200, result)
 
     def _post_scan(self, payload: dict) -> None:
@@ -519,24 +419,22 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
 
         path = str(payload.get("path", "")).strip()
         if not path:
-            self._send(400, {"error": "missing 'path'"})
-            return
+            raise _BadRequest("missing 'path'")
         if not Path(path).exists():
-            self._send(400, {"error": f"scan path {path!r} does not exist"})
-            return
+            raise _BadRequest(f"scan path {path!r} does not exist")
         options = {
             k: payload[k]
-            for k in ("languages", "tools_only", "no_cache", "jobs", "strategies")
+            for k in ("languages", "tools_only", "no_cache", "strategies")
             if k in payload
         }
-        try:
-            if options.get("languages"):
-                options["languages"] = [
-                    normalize_language(l) for l in options["languages"]
-                ]
-        except UnknownLanguageError as exc:
-            self._send(400, {"error": str(exc)})
-            return
+        for key in ("languages", "strategies"):
+            if options.get(key) is not None and not isinstance(options[key], list):
+                raise _BadRequest(f"{key!r} must be a list")
+        jobs = _positive_int(payload, "jobs")
+        if jobs is not None:
+            options["jobs"] = jobs
+        if options.get("languages"):
+            options["languages"] = [normalize_language(l) for l in options["languages"]]
         if options.get("strategies"):
             from repro.runtime.schedules import SCHEDULE_STRATEGIES
 
@@ -544,41 +442,26 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
                 s for s in options["strategies"] if s not in SCHEDULE_STRATEGIES
             ]
             if unknown:
-                self._send(400, {
-                    "error": f"unknown schedule strategies {unknown!r}; "
-                             f"have {sorted(SCHEDULE_STRATEGIES)}",
-                })
-                return
-        job = self.frontend.scan_submit(path, options)
-        self._send(202, {"id": job.id, "status": job.status, "path": job.path})
+                raise _BadRequest(
+                    f"unknown schedule strategies {unknown!r}; "
+                    f"have {sorted(SCHEDULE_STRATEGIES)}"
+                )
+        job = self.frontend.jobs.submit("scan", path, options)
+        self._send(202, {"id": job.id, "status": job.status, "path": job.subject})
 
     def _post_update(self, payload: dict) -> None:
         records = payload.get("records")
         if not isinstance(records, list) or not records:
-            self._send(400, {"error": "missing 'records' (non-empty list)"})
-            return
+            raise _BadRequest("missing 'records' (non-empty list)")
         for i, rec in enumerate(records):
             if not isinstance(rec, dict) or not rec.get("instruction") or "output" not in rec:
-                self._send(
-                    400,
-                    {"error": f"records[{i}] needs 'instruction' and 'output' fields"},
-                )
-                return
-        version = str(payload.get("version", "l2"))
-        if version not in ("l1", "l2"):
-            self._send(400, {"error": f"unknown version {version!r}; have ['l1', 'l2']"})
-            return
+                raise _BadRequest(f"records[{i}] needs 'instruction' and 'output' fields")
+        version = _version(payload)
         options: dict = {"records": records}
-        if payload.get("epochs") is not None:
-            try:
-                options["epochs"] = int(payload["epochs"])
-            except (TypeError, ValueError):
-                self._send(400, {"error": "'epochs' must be an integer"})
-                return
-            if options["epochs"] < 1:
-                self._send(400, {"error": "'epochs' must be >= 1"})
-                return
-        job = self.frontend.update_submit(version, options)
+        epochs = _positive_int(payload, "epochs")
+        if epochs is not None:
+            options["epochs"] = epochs
+        job = self.frontend.jobs.submit("update", version, options)
         self._send(202, {"id": job.id, "status": job.status, "version": version})
 
 

@@ -1,16 +1,14 @@
-"""Tests for the async scan job queue and the /api/scan endpoints."""
+"""Tests for the /api/scan endpoints (scans run tools-only, so the
+shared stub system needs no model)."""
 
 import json
 import threading
-import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.scan.jobs import ScanJobQueue
 from repro.serve import HPCGPTClient
-from repro.serve.server import start_background
 
 RACY_C = (
     "int i;\n"
@@ -20,87 +18,12 @@ RACY_C = (
 )
 
 
-class TestScanJobQueue:
-    def test_jobs_run_in_order_and_keep_results(self):
-        seen = []
-
-        def runner(path, options):
-            seen.append(path)
-            return {"path": path, **options}
-
-        q = ScanJobQueue(runner)
-        try:
-            a = q.submit("/a", {"tools_only": True})
-            b = q.submit("/b")
-            for job in (a, b):
-                deadline = time.monotonic() + 5.0
-                while job.status not in ("done", "error"):
-                    assert time.monotonic() < deadline
-                    time.sleep(0.01)
-            assert seen == ["/a", "/b"]
-            assert a.result == {"path": "/a", "tools_only": True}
-            assert q.get(a.id).status == "done"
-            assert q.get("nope") is None
-        finally:
-            q.close()
-
-    def test_failed_job_reports_error_and_queue_survives(self):
-        def runner(path, options):
-            if path == "/boom":
-                raise RuntimeError("kaput")
-            return {"ok": True}
-
-        q = ScanJobQueue(runner)
-        try:
-            bad = q.submit("/boom")
-            good = q.submit("/fine")
-            deadline = time.monotonic() + 5.0
-            while good.status != "done":
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
-            assert bad.status == "error" and "kaput" in bad.error
-            assert good.result == {"ok": True}
-        finally:
-            q.close()
-
-    def test_submit_after_close_rejected(self):
-        q = ScanJobQueue(lambda p, o: {})
-        q.close()
-        with pytest.raises(RuntimeError):
-            q.submit("/x")
-
-
-class StubSystem:
-    """The server-facing surface; scans run tools-only so no model."""
-
-    class _Model:
-        class config:  # noqa: N801 - mimics ModelConfig attribute access
-            name = "stub-model"
-
-        @staticmethod
-        def num_parameters():
-            return 1
-
-    def finetuned(self, version="l2"):
-        return self._Model()
-
-    def answer(self, question, version="l2"):
-        return "ok"
-
-    def detect_race(self, code, language="C/C++"):
-        return "no"
-
-
 @pytest.fixture()
-def scan_server(tmp_path):
+def scan_server(tmp_path, serve, stub_system):
     root = tmp_path / "proj"
     root.mkdir()
     (root / "racy.c").write_text(RACY_C)
-    server, _ = start_background(StubSystem())
-    host, port = server.server_address
-    yield root, f"http://{host}:{port}"
-    server.frontend.close()
-    server.shutdown()
+    return root, serve(stub_system)
 
 
 class TestScanEndpoints:
@@ -172,6 +95,26 @@ class TestScanEndpoints:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req)
         assert err.value.code == 400
+
+    def test_bad_jobs_400(self, scan_server):
+        """``jobs`` is validated like ``epochs``: an integer >= 1."""
+        root, url = scan_server
+        for payload in (
+            {"jobs": "abc"},
+            {"jobs": 0},
+            {"jobs": [2]},
+            {"languages": "c"},  # a list is required, not a string
+            {"strategies": "random"},
+        ):
+            req = urllib.request.Request(
+                url + "/api/scan",
+                data=json.dumps({"path": str(root), "tools_only": True,
+                                 **payload}).encode(),
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(req)
+            assert err.value.code == 400, payload
 
     def test_unknown_job_404(self, scan_server):
         _, url = scan_server

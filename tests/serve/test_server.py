@@ -1,43 +1,30 @@
-"""Tests for the deployment stage (server + client) using a stub system
-so no training happens in unit tests."""
+"""Tests for the deployment stage (server + client) using the shared
+stub system so no training happens in unit tests."""
 
 import json
 import threading
+import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.serve import HPCGPTClient
-from repro.serve.server import ServingFrontend, start_background
+from repro.serve.server import ServingFrontend
 
 
-class StubSystem:
-    """Implements exactly the surface the server uses."""
-
-    class _Model:
-        class config:  # noqa: N801 - mimics ModelConfig attribute access
-            name = "stub-model"
-
-        @staticmethod
-        def num_parameters():
-            return 12345
-
-    def finetuned(self, version="l2"):
-        return self._Model()
-
-    def answer(self, question, version="l2"):
-        return f"stub answer to: {question}"
-
-    def detect_race(self, code, language="C/C++"):
-        return "yes" if "parallel" in code else "no"
+def _post_status(url, body: bytes) -> int:
+    """POST a raw body and return the HTTP status."""
+    req = urllib.request.Request(url, data=body, method="POST")
+    try:
+        with urllib.request.urlopen(req) as resp:
+            return resp.status
+    except urllib.error.HTTPError as err:
+        return err.code
 
 
-@pytest.fixture(scope="module")
-def server_url():
-    server, _ = start_background(StubSystem())
-    host, port = server.server_address
-    yield f"http://{host}:{port}"
-    server.shutdown()
+@pytest.fixture()
+def server_url(serve, stub_system):
+    return serve(stub_system)
 
 
 class TestServer:
@@ -55,7 +42,7 @@ class TestServer:
 
     def test_answer_endpoint(self, server_url):
         client = HPCGPTClient(server_url)
-        assert client.answer("what dataset?") == "stub answer to: what dataset?"
+        assert client.answer("what dataset?") == "lm[l2]: what dataset?"
 
     def test_detect_endpoint(self, server_url):
         client = HPCGPTClient(server_url)
@@ -63,21 +50,28 @@ class TestServer:
         assert client.detect("serial loop") == "no"
 
     def test_missing_fields_400(self, server_url):
-        for path, payload in (("/api/answer", {}), ("/api/detect", {"code": "  "})):
-            req = urllib.request.Request(
-                server_url + path, data=json.dumps(payload).encode(), method="POST"
-            )
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(req)
-            assert err.value.code == 400
+        for path, payload in (
+            ("/api/answer", {}),
+            ("/api/answer", {"question": "   "}),
+            ("/api/answer", {"question": 5}),  # non-string question
+            ("/api/answer", {"question": ["q"]}),
+            ("/api/answer", {"question": "q", "version": "l3"}),
+            ("/api/detect", {"code": "  "}),
+            ("/api/detect", {"code": 7}),  # non-string code
+            ("/api/detect", {"code": {"src": "x"}}),
+        ):
+            status = _post_status(server_url + path, json.dumps(payload).encode())
+            assert status == 400, (path, payload)
 
     def test_bad_json_400(self, server_url):
-        req = urllib.request.Request(
-            server_url + "/api/answer", data=b"not json{", method="POST"
-        )
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(req)
-        assert err.value.code == 400
+        """Non-JSON and non-object bodies are 400s on every POST route,
+        and the server keeps serving afterwards."""
+        for path in ("/api/answer", "/api/detect", "/api/knowledge",
+                     "/api/scan", "/api/update"):
+            for body in (b"not json{", b"[1,2]", b'"a string"', b"42",
+                         b"null", b"\xff\xfe"):
+                assert _post_status(server_url + path, body) == 400, (path, body)
+        assert HPCGPTClient(server_url).health()["status"] == "ok"
 
     def test_unknown_path_404(self, server_url):
         with pytest.raises(urllib.error.HTTPError) as err:
@@ -85,48 +79,9 @@ class TestServer:
         assert err.value.code == 404
 
 
-class BatchStubSystem(StubSystem):
-    """Stub exposing the batched surface the engine-backed system has,
-    recording the batch widths the frontend forms."""
-
-    def __init__(self):
-        self.answer_batches = []
-        self.detect_batches = []
-        self.build_entries = 0
-        self.concurrent_builds = 0
-        self._in_build = threading.Semaphore(1)
-
-    def finetuned(self, version="l2"):
-        # Record whether two builds ever overlap (the seed's race).
-        if not self._in_build.acquire(blocking=False):
-            self.concurrent_builds += 1
-        else:
-            self.build_entries += 1
-            self._in_build.release()
-        return self._Model()
-
-    def answer_batch(self, questions, version="l2", max_new_tokens=40):
-        self.answer_batches.append(len(questions))
-        return [f"batched[{version}]: {q}" for q in questions]
-
-    def detect_race_batch(self, codes, language="C/C++", version="l2"):
-        self.detect_batches.append(len(codes))
-        return ["yes" if "parallel" in c else "no" for c in codes]
-
-
 class TestMicroBatchedServing:
-    @pytest.fixture()
-    def batch_server(self):
-        system = BatchStubSystem()
-        server, _ = start_background(system)
-        host, port = server.server_address
-        yield system, f"http://{host}:{port}", server
-        server.frontend.close()
-        server.shutdown()
-
-    def test_concurrent_requests_share_batches(self, batch_server):
-        system, url, _ = batch_server
-        client = HPCGPTClient(url)
+    def test_concurrent_requests_share_batches(self, serve, stub_system):
+        client = HPCGPTClient(serve(stub_system))
         n = 8
         results = {}
         gate = threading.Barrier(n, timeout=5.0)
@@ -140,41 +95,31 @@ class TestMicroBatchedServing:
             t.start()
         for t in threads:
             t.join(timeout=10.0)
-        assert results == {i: f"batched[l2]: q{i}" for i in range(n)}
-        assert sum(system.answer_batches) == n
+        assert results == {i: f"lm[l2]: q{i}" for i in range(n)}
+        widths = [len(batch) for batch in stub_system.answer_batches]
+        assert sum(widths) == n
         # At least one micro-batch gathered more than one request.
-        assert max(system.answer_batches) > 1
+        assert max(widths) > 1
 
-    def test_detect_routes_through_batched_path(self, batch_server):
-        system, url, _ = batch_server
-        client = HPCGPTClient(url)
+    def test_detect_routes_through_batched_path(self, serve, stub_system):
+        client = HPCGPTClient(serve(stub_system))
         assert client.detect("#pragma omp parallel for") == "yes"
         assert client.detect("serial") == "no"
-        assert system.detect_batches == [1, 1]
-
-
-class TestServingFrontendFallback:
-    def test_per_item_fallback_without_batch_api(self):
-        frontend = ServingFrontend(StubSystem(), window_ms=1.0)
-        try:
-            assert frontend.answer("hi") == "stub answer to: hi"
-            assert frontend.detect("#pragma omp parallel for x") == "yes"
-        finally:
-            frontend.close()
+        assert stub_system.detect_batches == [["#pragma omp parallel for"], ["serial"]]
 
 
 class TestGroupErrorIsolation:
     """A failing language group must not poison batchmates in other
     groups of the same micro-batch."""
 
-    class ExplodingSystem(StubSystem):
-        def detect_race_batch(self, codes, language="C/C++", version="l2"):
-            if language == "Fortran":
-                raise RuntimeError("fortran backend down")
-            return ["no" for _ in codes]
+    def test_one_groups_failure_spares_the_other(self, stub_system_cls):
+        class ExplodingSystem(stub_system_cls):
+            def detect_race_batch(self, codes, language="C/C++"):
+                if language == "Fortran":
+                    raise RuntimeError("fortran backend down")
+                return super().detect_race_batch(codes, language)
 
-    def test_one_groups_failure_spares_the_other(self):
-        frontend = ServingFrontend(self.ExplodingSystem(), window_ms=30.0, max_batch=8)
+        frontend = ServingFrontend(ExplodingSystem(), window_ms=30.0, max_batch=8)
         try:
             results, errors = {}, {}
             gate = threading.Barrier(2, timeout=5.0)

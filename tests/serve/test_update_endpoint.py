@@ -7,55 +7,6 @@ import urllib.request
 import pytest
 
 from repro.serve import HPCGPTClient
-from repro.serve.server import start_background
-
-
-class UpdatableStubSystem:
-    """Records update calls; mimics the system surface the server uses."""
-
-    class _Model:
-        class config:  # noqa: N801 - mimics ModelConfig attribute access
-            name = "stub-model"
-
-        @staticmethod
-        def num_parameters():
-            return 1
-
-    class _Stats:
-        steps = 3
-        skipped_steps = 0
-        seconds = 0.01
-
-        @staticmethod
-        def mean_loss():
-            return 0.5
-
-    def __init__(self, fail=False):
-        self.fail = fail
-        self.updates = []
-        self.engine_builds = []
-
-    def finetuned(self, version="l2"):
-        return self._Model()
-
-    def answer(self, question, version="l2"):
-        return "ok"
-
-    def detect_race(self, code, language="C/C++"):
-        return "no"
-
-    def update_with(self, records, version="l2", epochs=None):
-        if self.fail:
-            raise RuntimeError("update exploded")
-        self.updates.append((list(records), version, epochs))
-        return self._Stats()
-
-    def threshold(self, version="l2"):
-        return 0.125
-
-    def engine(self, version="l2"):
-        self.engine_builds.append(version)
-        return object()
 
 
 RECORDS = [
@@ -66,13 +17,8 @@ RECORDS = [
 
 
 @pytest.fixture()
-def update_server():
-    system = UpdatableStubSystem()
-    server, _ = start_background(system)
-    host, port = server.server_address
-    yield system, f"http://{host}:{port}"
-    server.frontend.close()
-    server.shutdown()
+def update_server(serve, stub_system):
+    return stub_system, serve(stub_system)
 
 
 class TestUpdateEndpoint:
@@ -102,19 +48,16 @@ class TestUpdateEndpoint:
         assert records[0].language == "C/C++"
         assert system.engine_builds == ["l2"]
 
-    def test_failed_update_reports_error(self):
-        system = UpdatableStubSystem(fail=True)
-        server, _ = start_background(system)
-        host, port = server.server_address
-        try:
-            client = HPCGPTClient(f"http://{host}:{port}")
-            job_id = client.update_start(RECORDS)
-            status = client.update_wait(job_id, timeout=10.0)
-            assert status["status"] == "error"
-            assert "update exploded" in status["error"]
-        finally:
-            server.frontend.close()
-            server.shutdown()
+    def test_failed_update_reports_error(self, serve, stub_system_cls):
+        class FailingSystem(stub_system_cls):
+            def update_with(self, records, version="l2", epochs=None):
+                raise RuntimeError("update exploded")
+
+        client = HPCGPTClient(serve(FailingSystem()))
+        job_id = client.update_start(RECORDS)
+        status = client.update_wait(job_id, timeout=10.0)
+        assert status["status"] == "error"
+        assert "update exploded" in status["error"]
 
     @pytest.mark.parametrize(
         "payload",
@@ -143,83 +86,3 @@ class TestUpdateEndpoint:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(url + "/api/update/update-999999")
         assert err.value.code == 404
-
-
-class TestMaintenanceMutualExclusion:
-    """Scan and update jobs must never run concurrently: a scan
-    captures the engine + cache fingerprint at start, so an update
-    landing mid-scan would corrupt verdicts and cache entries."""
-
-    def test_scan_job_waits_for_maintenance_lock(self, tmp_path):
-        import threading
-        import time
-
-        from repro.serve.server import ServingFrontend
-
-        (tmp_path / "k.c").write_text(
-            "#pragma omp parallel for\nfor (i = 0; i < 8; i++) a[i] = i;\n"
-        )
-        frontend = ServingFrontend(UpdatableStubSystem())
-        try:
-            with frontend._maintenance_lock:  # simulate a running update
-                job = frontend.scan_submit(
-                    str(tmp_path), {"tools_only": True, "no_cache": True}
-                )
-                time.sleep(0.3)
-                assert job.status in ("queued", "running")
-                assert job.result is None  # blocked behind the update
-            deadline = time.monotonic() + 10.0
-            while job.status not in ("done", "error"):
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
-            assert job.status == "done"
-        finally:
-            frontend.close()
-
-    def test_update_job_waits_for_maintenance_lock(self):
-        import time
-
-        from repro.serve.server import ServingFrontend
-
-        system = UpdatableStubSystem()
-        frontend = ServingFrontend(system)
-        try:
-            with frontend._maintenance_lock:  # simulate a running scan
-                job = frontend.update_submit("l2", {"records": RECORDS})
-                time.sleep(0.3)
-                assert not system.updates  # blocked behind the scan
-            deadline = time.monotonic() + 10.0
-            while job.status not in ("done", "error"):
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
-            assert job.status == "done" and len(system.updates) == 1
-        finally:
-            frontend.close()
-
-
-class TestHealthDuringUpdate:
-    def test_health_served_from_cache_while_lock_held(self):
-        """/health must not block for the duration of an update job."""
-        import threading
-        import time
-
-        from repro.serve.server import ServingFrontend
-
-        frontend = ServingFrontend(UpdatableStubSystem())
-        try:
-            frontend.finetuned("l2")  # warm the model cache
-            with frontend._system_lock:  # simulate a running update job
-                result = {}
-
-                def probe():
-                    t0 = time.monotonic()
-                    result["model"] = frontend.finetuned("l2")
-                    result["seconds"] = time.monotonic() - t0
-
-                t = threading.Thread(target=probe)
-                t.start()
-                t.join(timeout=5.0)
-            assert result["model"].config.name == "stub-model"
-            assert result["seconds"] < 2.0  # did not wait for the lock
-        finally:
-            frontend.close()

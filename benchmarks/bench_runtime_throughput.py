@@ -6,7 +6,7 @@ Three views of the rebuilt ``repro.runtime``:
   rows instead of per-event dict copies);
 * **race checking** — the epoch-matrix ``hb_races`` vs the seed
   ``combinations`` + dict-``VectorClock`` path (``hb_races_reference``,
-  kept verbatim in the tree), timed over (a) a *hot corpus* of
+  kept as the test oracle in ``tests/runtime/hb_oracle.py``), timed over (a) a *hot corpus* of
   contention-heavy kernels — large per-location groups, the pairwise
   path's quadratic regime — and (b) every trace of the DRB evaluation
   suite.  The hot-path speedup is asserted ≥ 3x (the PR's acceptance
@@ -19,7 +19,11 @@ checkers for TSan, ROMP, Inspector, and the HB oracle over the parity
 corpus (the full suite; one spec per category/language under
 ``--smoke``, which also skips the machine-noise-sensitive speed floor).
 
-Writes ``benchmarks/out/BENCH_runtime.json``.
+Writes ``benchmarks/out/BENCH_runtime.json``.  Run from ``benchmarks/``
+with the library and the repository root on the path (the oracle is
+imported as ``tests.runtime.hb_oracle``)::
+
+    PYTHONPATH=../src:.. python bench_runtime_throughput.py --smoke
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ from repro.detectors.romp import _ordered_only_conflicts
 from repro.drb import DRBSuite
 from repro.openmp import parse_c
 from repro.runtime import Machine, MachineConfig, execute
-from repro.runtime.machine import hb_races, hb_races_reference
+from repro.runtime.machine import hb_races
 from repro.runtime.schedules import SCHEDULE_STRATEGIES
+from tests.runtime.hb_oracle import hb_races_reference
 
 N_SCHEDULES = 2  # per spec for the checking corpus
 FIRST_RACE_BUDGET = 8  # schedule budget for the exploration metric
@@ -95,7 +100,7 @@ def check_all(checker, traces, max_reports: int = 10) -> int:
 
 
 def timed_check(checker, traces, repeats: int) -> tuple[float, int]:
-    found = check_all(checker, traces)  # warm (ClockView dicts, caches)
+    found = check_all(checker, traces)  # warm caches
     start = time.perf_counter()
     for _ in range(repeats):
         check_all(checker, traces)

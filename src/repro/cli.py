@@ -254,7 +254,6 @@ def cmd_scan(args) -> int:
         tools_only=args.tools_only,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
-        jobs=args.jobs,
         strategies=tuple(args.strategy) if args.strategy else ("random",),
     )
     system = None if args.tools_only else _make_system(args.preset)
@@ -401,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ignore and don't update the verdict cache")
     p.add_argument("--cache-dir", help="verdict cache location "
                    "(default: $REPRO_CACHE/scan or .repro_cache/scan)")
-    p.add_argument("--jobs", type=int, default=4,
-                   help="tool-ensemble worker threads (default 4)")
     from repro.runtime.schedules import SCHEDULE_STRATEGIES
 
     p.add_argument("--strategy", action="append",

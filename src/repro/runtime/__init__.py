@@ -2,10 +2,13 @@
 
 Executes kernel IR from :mod:`repro.openmp` with T logical threads under
 a seeded interleaving scheduler, producing memory-event traces annotated
-with vector clocks and locksets.  This substrate replaces the paper's
-real multicore runs: dynamic race detectors (ThreadSanitizer, Intel
-Inspector, ROMP stand-ins) analyse these traces exactly the way the real
-tools analyse instrumented executions.
+with vector clocks and locksets.  Every trace carries a
+:class:`ClockBank` epoch matrix, each event stores a row index into it,
+and :func:`hb_races` checks happens-before with FastTrack's epoch rule.
+This substrate replaces the paper's real multicore runs: dynamic race
+detectors (ThreadSanitizer, Intel Inspector, ROMP stand-ins) analyse
+these traces exactly the way the real tools analyse instrumented
+executions.
 
 Semantics covered: ``parallel for`` (static chunking), ``parallel``
 regions, ``simd`` (vector lanes with chunk barriers honouring safelen),
@@ -14,23 +17,14 @@ regions, ``simd`` (vector lanes with chunk barriers honouring safelen),
 ``firstprivate``/``reduction`` data-sharing.
 """
 
-from repro.runtime.vectorclock import VectorClock
-from repro.runtime.clocks import ClockBank, ClockView, EpochClock
+from repro.runtime.clocks import ClockBank, EpochClock
 from repro.runtime.memory import SharedMemory
 from repro.runtime.interpreter import ExecutionError, MemEvent, Trace, execute
-from repro.runtime.machine import (
-    Machine,
-    MachineConfig,
-    RaceReport,
-    hb_races,
-    hb_races_reference,
-)
+from repro.runtime.machine import Machine, MachineConfig, RaceReport, hb_races
 from repro.runtime.schedules import SCHEDULE_STRATEGIES
 
 __all__ = [
-    "VectorClock",
     "ClockBank",
-    "ClockView",
     "EpochClock",
     "SharedMemory",
     "ExecutionError",
@@ -41,6 +35,5 @@ __all__ = [
     "MachineConfig",
     "RaceReport",
     "hb_races",
-    "hb_races_reference",
     "SCHEDULE_STRATEGIES",
 ]

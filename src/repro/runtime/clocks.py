@@ -1,23 +1,21 @@
 """Epoch-matrix vector clocks.
 
-The seed runtime copied a dict-based :class:`VectorClock` for every
-shared-memory event — an O(threads) allocation on the hottest path in
-the system.  This module replaces that with FastTrack-style epochs:
+Every trace carries a :class:`ClockBank`, and every shared-memory event
+stores a row index into it instead of a clock of its own:
 
-* a per-trace :class:`ClockBank` interns every *distinct* clock snapshot
-  as one row of an ``events x threads`` integer matrix (rows are shared
-  by all events a thread performs between synchronisation points, so a
-  tight loop allocates one row per sync interval, not per access);
+* the bank interns every *distinct* clock snapshot as one row of an
+  ``events x threads`` integer matrix (rows are shared by all events a
+  thread performs between synchronisation points, so a tight loop
+  allocates one row per sync interval, not per access);
 * threads carry a :class:`EpochClock` — a flat ``list[int]`` indexed by
-  bank column — whose tick/join are plain integer ops;
-* events store a *row index*; :class:`ClockView` lazily rebuilds a
-  dict-compatible :class:`VectorClock` only if someone asks for one.
+  bank column — whose tick/join are plain integer ops.
 
-Why epochs suffice: knowledge in this machine propagates exclusively by
-full-vector joins (thread spawn, lock release→acquire, barrier merge,
-team join), and a thread ticks its own component before any snapshot of
-its clock escapes (release/barrier/join all tick).  Hence for events
-``a``/``b`` on threads ``ta != tb``::
+Why epochs suffice (FastTrack, Flanagan & Freund, PLDI 2009): knowledge
+in this machine propagates exclusively by full-vector joins (thread
+spawn, lock release→acquire, barrier merge, team join), and a thread
+ticks its own component before any snapshot of its clock escapes
+(release/barrier/join all tick).  Hence for events ``a``/``b`` on
+threads ``ta != tb``::
 
     a happens-before b  <=>  b.clock[ta] >= a.clock[ta]
 
@@ -29,8 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.vectorclock import VectorClock
-
 
 class ClockBank:
     """Per-trace store of interned clock snapshots (the epoch matrix)."""
@@ -40,7 +36,7 @@ class ClockBank:
     def __init__(self) -> None:
         self.tids: list = []  # column -> thread id
         self.cols: dict = {}  # thread id -> column
-        self.rows: list[tuple] = []  # row -> clock values (len <= n_cols)
+        self.rows: list[tuple] = []  # row -> clock values (len <= len(tids))
         self._matrix: np.ndarray | None = None
 
     def col(self, tid) -> int:
@@ -52,10 +48,6 @@ class ClockBank:
             self.tids.append(tid)
         return c
 
-    @property
-    def n_cols(self) -> int:
-        return len(self.tids)
-
     def add_row(self, values: list[int]) -> int:
         self.rows.append(tuple(values))
         return len(self.rows) - 1
@@ -65,9 +57,6 @@ class ClockBank:
         existed (absent components are zero)."""
         vals = self.rows[row]
         return vals[col] if col < len(vals) else 0
-
-    def row_dict(self, row: int) -> dict:
-        return {self.tids[i]: v for i, v in enumerate(self.rows[row]) if v}
 
     def matrix(self) -> np.ndarray:
         """The full ``rows x threads`` epoch matrix, zero-padded for
@@ -126,43 +115,8 @@ class EpochClock:
 
     def row(self) -> int:
         """Interned row for the current value — allocated at most once
-        per sync interval (this is what replaces per-event ``vc.copy()``)."""
+        per sync interval, and shared by every event logged in it."""
         r = self._row
         if r is None:
             r = self._row = self.bank.add_row(self.values)
         return r
-
-    def get(self, tid) -> int:
-        col = self.bank.cols.get(tid)
-        if col is None or col >= len(self.values):
-            return 0
-        return self.values[col]
-
-
-class ClockView(VectorClock):
-    """Read-only :class:`VectorClock` facade over one bank row.
-
-    Events expose this as ``event.vc`` so existing consumers
-    (``happens_before``/``concurrent_with``/``get``/equality) keep
-    working; the dict is materialised lazily, on first use.
-    """
-
-    __slots__ = ("bank", "row", "_dict")
-
-    def __init__(self, bank: ClockBank, row: int) -> None:
-        self.bank = bank
-        self.row = row
-        self._dict = None
-
-    @property
-    def clock(self) -> dict:
-        d = self._dict
-        if d is None:
-            d = self._dict = self.bank.row_dict(self.row)
-        return d
-
-    def tick(self, tid) -> None:  # pragma: no cover - guarded misuse
-        raise TypeError("ClockView is a read-only snapshot")
-
-    def join(self, other) -> None:  # pragma: no cover - guarded misuse
-        raise TypeError("ClockView is a read-only snapshot")

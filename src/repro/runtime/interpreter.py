@@ -14,10 +14,9 @@ maintains vector clocks and per-thread locksets.
 The output :class:`Trace` carries every shared-memory event with its
 vector clock, lockset, atomicity flag, and (for ``simd``) a lane marker —
 everything the dynamic detectors need.  Clocks live in the trace's
-:class:`~repro.runtime.clocks.ClockBank` epoch matrix: each event stores
-a row index (snapshots are interned once per synchronisation interval),
-and ``event.vc`` is a lazy dict-compatible view for consumers that want
-the classic :class:`VectorClock` API.  Which ready thread runs at each
+:class:`~repro.runtime.clocks.ClockBank` epoch matrix, which every trace
+carries: each event stores a row index into it (snapshots are interned
+once per synchronisation interval).  Which ready thread runs at each
 scheduling point is delegated to a pluggable exploration strategy
 (:mod:`repro.runtime.schedules`); ``random`` reproduces the seed
 scheduler exactly.
@@ -42,10 +41,9 @@ from repro.openmp.ast_nodes import (
     ScalarDecl, Seq, SingleSection, Var,
 )
 from repro.openmp.pragmas import Pragma
-from repro.runtime.clocks import ClockBank, ClockView, EpochClock
+from repro.runtime.clocks import ClockBank, EpochClock
 from repro.runtime.memory import SharedMemory
 from repro.runtime.schedules import ScheduleStrategy, make_strategy
-from repro.runtime.vectorclock import VectorClock
 
 
 class ExecutionError(RuntimeError):
@@ -60,25 +58,24 @@ class MemEvent:
     tid: object  # worker index, ("lane", k), or ("dev", k)
     is_write: bool
     loc: tuple  # ("arr", name, index) | ("sca", name)
-    vc: VectorClock  # machine traces carry a lazy ClockView over the bank
+    clock_row: int  # row of this event's clock in the trace's ClockBank
     locks: frozenset
     atomic: bool = False
     lane: bool = False  # SIMD lane event (invisible to thread-level tools)
     region: int = 0  # which parallel construct produced it
-    clock_row: int = -1  # row in the trace's epoch matrix (-1: hand-built)
 
 
 @dataclass
 class Trace:
     """Everything observed in one execution."""
 
+    clock_bank: ClockBank  # epoch matrix behind the events' clock rows
     events: list[MemEvent] = field(default_factory=list)
     schedule_seed: int = 0
     schedule_strategy: str = "random"
     n_threads: int = 0
     final_arrays: dict = field(default_factory=dict)
     regions: int = 0
-    clock_bank: ClockBank | None = None  # epoch matrix behind the events
 
     def shared_locations(self) -> set[tuple]:
         return {e.loc for e in self.events}
@@ -347,8 +344,8 @@ class _Scheduler:
     # -- event logging -------------------------------------------------------
 
     def _log(self, t: _Thread, is_write: bool, loc: tuple, atomic: bool = False) -> None:
-        # One interned row per sync interval instead of a dict copy per
-        # event: vc.row() only allocates when the clock changed.
+        # Events share one interned row per sync interval: vc.row()
+        # only allocates when the clock changed.
         row = t.vc.row()
         self.trace.events.append(
             MemEvent(
@@ -356,12 +353,11 @@ class _Scheduler:
                 tid=t.tid,
                 is_write=is_write,
                 loc=loc,
-                vc=ClockView(self.bank, row),
+                clock_row=row,
                 locks=frozenset(t.locks),
                 atomic=atomic,
                 lane=t.lane,
                 region=self.region,
-                clock_row=row,
             )
         )
 
@@ -536,7 +532,7 @@ class _MasterContext:
         self.n_threads = n_threads
         self.strategy = strategy
         self.bank = ClockBank()
-        self.trace = Trace(n_threads=n_threads, clock_bank=self.bank)
+        self.trace = Trace(clock_bank=self.bank, n_threads=n_threads)
         self.master_vc = EpochClock(self.bank)
         self.master_vc.tick("master")
         self.seq = itertools.count()

@@ -9,7 +9,8 @@ at once — the "scan my repo" workload of real race-detection tooling:
 * :mod:`repro.scan.cache` — persistent content-addressed verdict store,
   so unchanged kernels never re-run the ensemble;
 * :mod:`repro.scan.pipeline` — the orchestrator: dedupe, cache lookup,
-  tool ensemble in a worker pool, LLM margins in large engine batches;
+  the tool ensemble one kernel at a time, LLM margins in large engine
+  batches;
 * :mod:`repro.scan.report` / :mod:`repro.scan.sarif` — aggregation and
   the JSON / SARIF 2.1.0 emitters.
 

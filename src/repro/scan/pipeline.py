@@ -9,21 +9,23 @@ Stages (each timed into the report):
 4. **cache** lookup in the persistent verdict store — unchanged kernels
    cost one file read, no model and no tools;
 5. for the misses: the **tool ensemble** (LLOV / Inspector / ROMP /
-   TSan) runs in a thread worker pool over shared per-kernel traces,
-   while **LLM scoring** routes every kernel through
+   TSan) checks one kernel at a time — its schedules execute once, every
+   tool runs on those traces, and they are released before the next
+   kernel — then **LLM scoring** routes every kernel through
    :meth:`InferenceEngine.yes_no_margins` in large batches — the same
    calibrated-margin path as single-kernel ``detect_race``, so scan
    verdicts match it exactly.
 
-The optional ``llm_lock`` serialises only the engine phase, letting the
-HTTP server run long scans concurrently with its micro-batched
-answer/detect traffic (the model itself is single-threaded).
+``llm_lock`` (a no-op by default) serialises only the model calls,
+letting the HTTP server run long scans concurrently with its
+micro-batched answer/detect traffic (the model itself is
+single-threaded).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,7 +49,6 @@ class ScanConfig:
     llm_version: str = "l2"
     use_cache: bool = True
     cache_dir: str | Path | None = None
-    jobs: int = 4
     n_threads: int = 2
     n_schedules: int = 4
     base_seed: int = 0
@@ -69,7 +70,7 @@ class ScanPipeline:
         system=None,
         config: ScanConfig | None = None,
         detectors: list | None = None,
-        llm_lock=None,
+        llm_lock: AbstractContextManager = nullcontext(),
     ) -> None:
         self.config = config or ScanConfig()
         if self.config.languages:
@@ -128,10 +129,8 @@ class ScanPipeline:
         return pipeline_fingerprint(parts)
 
     def _threshold(self) -> float:
-        if self._llm_lock is not None:
-            with self._llm_lock:
-                return self.system.threshold(self.config.llm_version)
-        return self.system.threshold(self.config.llm_version)
+        with self._llm_lock:
+            return self.system.threshold(self.config.llm_version)
 
     # -- the scan ------------------------------------------------------------
 
@@ -217,42 +216,12 @@ class ScanPipeline:
     # -- detection over the cache misses ------------------------------------
 
     def _detect_batch(self, items: list[tuple[str, ExtractedKernel]]) -> dict[str, dict]:
-        """Ensemble verdicts for unique kernels: tool pool + one LLM batch."""
+        """Ensemble verdicts for unique kernels: the tools kernel by
+        kernel, then one LLM batch over all of them."""
         if not items:
             return {}
-        specs = [k.to_spec() for _, k in items]
         machine = Machine(self._machine_config)
-
-        def traces_of(idx: int):
-            _, kernel = items[idx]
-            if not kernel.parse_ok:
-                return None
-            try:
-                return machine.traces(specs[idx].parse())
-            except Exception:  # noqa: BLE001 - a kernel the runtime rejects
-                return None
-
-        with ThreadPoolExecutor(max_workers=max(1, self.config.jobs)) as pool:
-            traces = list(pool.map(traces_of, range(len(items))))
-            tool_tasks = [
-                (d, i) for d in self.detectors for i in range(len(items))
-            ]
-
-            def run_tool(task):
-                det, i = task
-                if not items[i][1].parse_ok:
-                    return det.name, i, Verdict.UNSUPPORTED
-                if det.kind == "dynamic" and traces[i] is None:
-                    return det.name, i, Verdict.UNSUPPORTED
-                try:
-                    result = det.run(specs[i], traces[i])
-                    return det.name, i, result.verdict
-                except Exception:  # noqa: BLE001 - one kernel must not kill the scan
-                    return det.name, i, Verdict.UNSUPPORTED
-
-            tool_verdicts: dict[tuple[str, int], Verdict] = {}
-            for name, i, verdict in pool.map(run_tool, tool_tasks):
-                tool_verdicts[(name, i)] = verdict
+        tool_verdicts = [self._tool_verdicts(machine, kernel) for _, kernel in items]
 
         llm_verdicts: list[str | None] = [None] * len(items)
         llm_margins: list[float | None] = [None] * len(items)
@@ -264,10 +233,7 @@ class ScanPipeline:
             ]
             threshold = self._threshold()
             engine = self.system.engine(self.config.llm_version)
-            if self._llm_lock is not None:
-                with self._llm_lock:
-                    margins = engine.yes_no_margins(instructions)
-            else:
+            with self._llm_lock:
                 margins = engine.yes_no_margins(instructions)
             for i, margin in enumerate(margins):
                 llm_margins[i] = float(margin)
@@ -276,14 +242,34 @@ class ScanPipeline:
         payloads: dict[str, dict] = {}
         for i, (key, kernel) in enumerate(items):
             payloads[key] = {
-                "verdicts": {
-                    d.name: tool_verdicts[(d.name, i)].value for d in self.detectors
-                },
+                "verdicts": tool_verdicts[i],
                 "llm_verdict": llm_verdicts[i],
                 "llm_margin": llm_margins[i],
                 "parse_ok": kernel.parse_ok,
             }
         return payloads
+
+    def _tool_verdicts(self, machine: Machine, kernel: ExtractedKernel) -> dict[str, str]:
+        """Every tool's verdict on one kernel.  Its schedules execute
+        once and the dynamic tools share the traces, which are dropped
+        when this returns."""
+        if not kernel.parse_ok:
+            return {d.name: Verdict.UNSUPPORTED.value for d in self.detectors}
+        spec = kernel.to_spec()
+        try:
+            traces = machine.traces(spec.parse())
+        except Exception:  # noqa: BLE001 - a kernel the runtime rejects
+            traces = None
+        verdicts: dict[str, str] = {}
+        for det in self.detectors:
+            verdict = Verdict.UNSUPPORTED
+            if det.kind != "dynamic" or traces is not None:
+                try:
+                    verdict = det.run(spec, traces).verdict
+                except Exception:  # noqa: BLE001 - one kernel must not kill the scan
+                    pass
+            verdicts[det.name] = verdict.value
+        return verdicts
 
     def _result(self, kernel: ExtractedKernel, payload: dict, cached: bool) -> KernelResult:
         return KernelResult(

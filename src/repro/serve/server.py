@@ -201,9 +201,8 @@ class ServingFrontend:
 
         config = ScanConfig(
             languages=tuple(options["languages"]) if options.get("languages") else None,
-            tools_only=bool(options.get("tools_only", False)),
-            use_cache=not options.get("no_cache", False),
-            jobs=options.get("jobs", 4),
+            tools_only=options["tools_only"],
+            use_cache=not options["no_cache"],
             strategies=tuple(options["strategies"])
             if options.get("strategies") else ("random",),
         )
@@ -286,6 +285,14 @@ def _positive_int(payload: dict, key: str) -> int | None:
         raise _BadRequest(f"{key!r} must be an integer") from None
     if value < 1:
         raise _BadRequest(f"{key!r} must be >= 1")
+    return value
+
+
+def _flag(payload: dict, key: str) -> bool:
+    """``payload[key]`` as a JSON boolean; an absent flag is false."""
+    value = payload.get(key, False)
+    if not isinstance(value, bool):
+        raise _BadRequest(f"{key!r} must be true or false")
     return value
 
 
@@ -379,7 +386,7 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
     def _post_answer(self, payload: dict) -> None:
         question = _text_field(payload, "question")
         version = _version(payload)
-        retrieval = bool(payload.get("retrieval", False))
+        retrieval = _flag(payload, "retrieval")
         answer = self.frontend.answer(question, version=version, retrieval=retrieval)
         self._send(
             200,
@@ -422,17 +429,15 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
             raise _BadRequest("missing 'path'")
         if not Path(path).exists():
             raise _BadRequest(f"scan path {path!r} does not exist")
-        options = {
-            k: payload[k]
-            for k in ("languages", "tools_only", "no_cache", "strategies")
-            if k in payload
-        }
+        options = {k: _flag(payload, k) for k in ("tools_only", "no_cache")}
         for key in ("languages", "strategies"):
-            if options.get(key) is not None and not isinstance(options[key], list):
+            if payload.get(key) is None:
+                continue
+            if not isinstance(payload[key], list):
                 raise _BadRequest(f"{key!r} must be a list")
-        jobs = _positive_int(payload, "jobs")
-        if jobs is not None:
-            options["jobs"] = jobs
+            if not all(isinstance(v, str) for v in payload[key]):
+                raise _BadRequest(f"{key!r} must list strings")
+            options[key] = payload[key]
         if options.get("languages"):
             options["languages"] = [normalize_language(l) for l in options["languages"]]
         if options.get("strategies"):

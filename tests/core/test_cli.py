@@ -74,12 +74,16 @@ class TestParser:
     def test_scan_args(self):
         args = build_parser().parse_args(
             ["scan", "src/", "--tools-only", "--language", "c",
-             "--language", "fortran", "--sarif", "out.sarif", "--jobs", "2"]
+             "--language", "fortran", "--sarif", "out.sarif"]
         )
         assert args.path == "src/"
-        assert args.tools_only and args.jobs == 2
+        assert args.tools_only
         assert args.language == ["C/C++", "Fortran"]
         assert args.sarif == "out.sarif"
+
+    def test_scan_has_no_jobs_option(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["scan", "src/", "--jobs", "2"])
 
 
 class TestExport:

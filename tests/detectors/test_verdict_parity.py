@@ -1,6 +1,7 @@
 """Exact detector-verdict parity: the epoch-matrix checker must leave
-every dynamic tool's verdict bit-identical to the seed dict-clock
-implementation (TSan, ROMP, Inspector, and the HB oracle).
+every dynamic tool's verdict bit-identical to the dict-clock oracle in
+``tests/runtime/hb_oracle.py`` (TSan, ROMP, Inspector, and the HB
+oracle).
 
 The full-suite version of this corpus runs in
 ``benchmarks/bench_runtime_throughput.py``; here a one-spec-per-
@@ -15,7 +16,8 @@ from repro.detectors.romp import ROMPDetector, _ordered_only_conflicts
 from repro.detectors.tsan import ThreadSanitizerDetector
 from repro.drb import DRBSuite
 from repro.runtime import Machine, MachineConfig
-from repro.runtime.machine import hb_races, hb_races_reference
+from repro.runtime.machine import hb_races
+from tests.runtime.hb_oracle import hb_races_reference
 
 
 @pytest.fixture(scope="module")

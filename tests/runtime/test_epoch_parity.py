@@ -1,16 +1,18 @@
-"""Epoch-matrix checker vs the seed dict-clock checker: exact parity.
+"""Epoch-matrix checker vs the dict-clock oracle: exact parity.
 
 ``hb_races`` (vectorised over the trace's ClockBank) must reproduce the
-seed implementation ``hb_races_reference`` bit for bit: same reports,
-same order, same truncation — across racy and race-free programs, both
-lane modes, and both group-size code paths (scalar and NumPy)."""
+pairwise dict-clock checker in ``tests/runtime/hb_oracle.py`` bit for
+bit: same reports, same order, same truncation — across racy and
+race-free programs, both lane modes, and both group-size code paths
+(scalar and NumPy)."""
 
 import numpy as np
 import pytest
 
 from repro.drb import DRBSuite
-from repro.runtime import ClockView, VectorClock, execute
-from repro.runtime.machine import hb_races, hb_races_reference
+from repro.runtime import execute
+from repro.runtime.machine import hb_races
+from tests.runtime.hb_oracle import banked_trace, hb_races_reference
 
 
 @pytest.fixture(scope="module")
@@ -87,43 +89,6 @@ for (i = 1; i < 64; i++) { a[i] = a[i-1] + 1; }
     assert len(bank.rows) <= 4
 
 
-def test_clock_view_matches_dict_reconstruction():
-    from repro.openmp import parse_c
-
-    src = """
-double s;
-#pragma omp parallel
-{
-  #pragma omp critical
-  { s = s + 1; }
-}
-"""
-    trace = execute(parse_c(src), n_threads=2, schedule_seed=0)
-    bank = trace.clock_bank
-    for e in trace.events:
-        assert isinstance(e.vc, ClockView)
-        assert e.clock_row >= 0
-        rebuilt = VectorClock(bank.row_dict(e.clock_row))
-        assert e.vc == rebuilt
-        for tid in bank.tids:
-            assert e.vc.get(tid) == rebuilt.get(tid)
-
-
-def test_clock_view_is_read_only():
-    from repro.openmp import parse_c
-
-    trace = execute(parse_c("double s;\n#pragma omp parallel\n{ s = 1; }"))
-    view = trace.events[0].vc
-    with pytest.raises(TypeError):
-        view.tick(0)
-    with pytest.raises(TypeError):
-        view.join(VectorClock({0: 1}))
-    # copy() detaches into a plain mutable VectorClock.
-    detached = view.copy()
-    detached.tick(0)
-    assert detached != view
-
-
 def test_matrix_shape_and_padding():
     from repro.openmp import parse_c
 
@@ -147,18 +112,16 @@ double s;
         assert not m[e.clock_row, len(vals):].any()
 
 
-def test_hand_built_traces_fall_back_to_reference():
-    """Traces assembled without a ClockBank (unit tests, external
-    tooling) still check correctly through the dict-clock fallback."""
-    from repro.runtime.interpreter import MemEvent, Trace
+def test_hand_built_banked_traces():
+    """Traces written by hand go through ``banked_trace`` and check
+    like machine traces, matching the oracle."""
 
     def ev(seq, tid, clock):
-        return MemEvent(
-            seq=seq, tid=tid, is_write=True, loc=("sca", "s"),
-            vc=VectorClock(clock), locks=frozenset(),
-        )
+        return dict(seq=seq, tid=tid, is_write=True, loc=("sca", "s"), clock=clock)
 
-    racy = Trace(events=[ev(0, 0, {0: 1}), ev(1, 1, {1: 1})])
-    ordered = Trace(events=[ev(0, 0, {0: 1}), ev(1, 1, {0: 1, 1: 1})])
+    racy = banked_trace([ev(0, 0, {0: 1}), ev(1, 1, {1: 1})])
+    ordered = banked_trace([ev(0, 0, {0: 1}), ev(1, 1, {0: 1, 1: 1})])
     assert report_sig(hb_races(racy)) == [(("sca", "s"), 0, 1)]
     assert hb_races(ordered) == []
+    for trace in (racy, ordered):
+        assert report_sig(hb_races(trace)) == report_sig(hb_races_reference(trace))

@@ -1,10 +1,11 @@
-"""Tests for vector clocks, including hypothesis properties."""
+"""Tests for the oracle's dict vector clocks, including hypothesis
+properties."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import VectorClock
+from tests.runtime.hb_oracle import VectorClock
 
 
 class TestBasics:

@@ -96,15 +96,21 @@ class TestScanEndpoints:
             urllib.request.urlopen(req)
         assert err.value.code == 400
 
-    def test_bad_jobs_400(self, scan_server):
-        """``jobs`` is validated like ``epochs``: an integer >= 1."""
+    def test_bad_options_400(self, scan_server):
+        """Lists must be lists of strings and flags JSON booleans; a
+        bad element is a 400, not a crashed handler."""
         root, url = scan_server
         for payload in (
-            {"jobs": "abc"},
-            {"jobs": 0},
-            {"jobs": [2]},
             {"languages": "c"},  # a list is required, not a string
             {"strategies": "random"},
+            {"languages": ["c", 7]},
+            {"strategies": [["random"]]},  # unhashable, not a name
+            {"strategies": ["random", 3]},
+            {"tools_only": "false"},  # a string is not a boolean
+            {"tools_only": 1},
+            {"tools_only": None},
+            {"no_cache": "yes"},
+            {"no_cache": 0},
         ):
             req = urllib.request.Request(
                 url + "/api/scan",

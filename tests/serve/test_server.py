@@ -56,6 +56,9 @@ class TestServer:
             ("/api/answer", {"question": 5}),  # non-string question
             ("/api/answer", {"question": ["q"]}),
             ("/api/answer", {"question": "q", "version": "l3"}),
+            ("/api/answer", {"question": "q", "retrieval": "false"}),
+            ("/api/answer", {"question": "q", "retrieval": 1}),
+            ("/api/answer", {"question": "q", "retrieval": None}),
             ("/api/detect", {"code": "  "}),
             ("/api/detect", {"code": 7}),  # non-string code
             ("/api/detect", {"code": {"src": "x"}}),

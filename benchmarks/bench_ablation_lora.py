@@ -64,11 +64,12 @@ def test_lora_rank_ablation(benchmark):
         lora = LoRAConfig(rank=rank, alpha=max(2 * rank, 1),
                           target_modules=_ALL_LINEAR) if rank else LoRAConfig(rank=0)
         sft = dataclasses.replace(cfg.sft, lora=lora)
-        stats = SFTTrainer(model, tok, sft).train(records)
+        SFTTrainer(model, tok, sft).train(records)
+        trainable = model.num_parameters(trainable_only=True)  # before merging
         from repro.nn import merge_lora
 
         merge_lora(model)
-        return _accuracy(model, tok, specs, records), stats.trainable_params
+        return _accuracy(model, tok, specs, records), trainable
 
     results = benchmark.pedantic(
         lambda: {r: run_rank(r) for r in RANKS}, rounds=1, iterations=1

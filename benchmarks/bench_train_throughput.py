@@ -7,15 +7,15 @@ Times the two training workloads everything builds on:
   from a mid-run :mod:`repro.train.checkpoint` file must pay only the
   checkpoint load, not a restart from step 0;
 * **SFT** (instruction fine-tuning): tokens/sec for the *seed loop*
-  (the pre-PR ``SFTTrainer.train`` body, replicated verbatim below:
+  (the original ``SFTTrainer.train`` body, replicated below:
   shuffle-then-pad batching + reference cross-entropy over every
-  position) vs the unified trainer unbucketed (fused CE + supervised
-  -only head) vs bucketed (plus length-bucketed batching).
+  position) vs the unified trainer (fused CE + supervised-only head +
+  length-bucketed batching).
 
-The two SFT levers compound: the fused objective projects only the
-supervised answer span through the LM head (~18% of positions on the
-small preset), and bucketing stops a shuffled batch from padding short
-QA rows out to the longest code row it happened to contain.
+The trainer's two SFT levers compound: the fused objective projects
+only the supervised answer span through the LM head (~18% of positions
+on the small preset), and bucketing stops a shuffled batch from padding
+short QA rows out to the longest code row it happened to contain.
 
 Writes ``benchmarks/out/BENCH_train.json``.  Defaults to the small
 preset; set ``REPRO_BENCH_PRESET=paper`` for the full configuration.
@@ -85,10 +85,27 @@ def bench_pretrain(cfg) -> dict:
     }
 
 
+def shuffled_batches(examples, batch_size, rng, pad_id, ignore_index):
+    """The seed batcher: shuffle every example, slice into batches, pad
+    each batch to its longest row."""
+    order = np.arange(len(examples))
+    rng.shuffle(order)
+    for start in range(0, len(order), batch_size):
+        chunk = [examples[i] for i in order[start : start + batch_size]]
+        width = max(len(ids) for ids, _ in chunk)
+        ids = np.full((len(chunk), width), pad_id, dtype=np.int64)
+        targets = np.full((len(chunk), width), ignore_index, dtype=np.int64)
+        for k, (ex_ids, ex_targets) in enumerate(chunk):
+            ids[k, : len(ex_ids)] = ex_ids
+            targets[k, : len(ex_targets)] = ex_targets
+        yield ids, targets
+
+
 def seed_sft_loop(cfg, base, tok, records) -> tuple[float, int]:
-    """The pre-PR ``SFTTrainer.train`` body, kept verbatim as the
-    baseline: shuffled batches padded to their longest row, reference
-    cross-entropy over every position."""
+    """The original ``SFTTrainer.train`` body, kept as the baseline:
+    shuffled batches padded to their longest row, reference
+    cross-entropy over every position, AdamW without weight decay and
+    clipping at 1.0."""
     sft = dataclasses.replace(cfg.sft, epochs=SFT_EPOCHS)
     model = base.copy()
     lora_rng = derive_rng(sft.seed, "sft/lora")
@@ -96,21 +113,23 @@ def seed_sft_loop(cfg, base, tok, records) -> tuple[float, int]:
     max_len = min(sft.max_seq_len, model.config.max_seq_len)
     dataset = SFTDataset(records, tok, max_seq_len=max_len)
     params = model.trainable_parameters()
-    opt = AdamW(params, lr=sft.lr, weight_decay=sft.weight_decay)
-    clipper = GradClipper(sft.grad_clip)
+    opt = AdamW(params, lr=sft.lr, weight_decay=0.0)
+    clipper = GradClipper(1.0)
     scaler = LossScaler(sft.fp16)
     data_rng = derive_rng(sft.seed, "sft/batches")
     model.train()
     tokens = 0
     t0 = time.perf_counter()
     for _ in range(sft.epochs):
-        for batch in dataset.batches(sft.batch_size, rng=data_rng,
-                                     pad_id=tok.special.pad_id):
-            logits = model.forward(batch.ids)
-            loss = cross_entropy_logits(logits, batch.targets)
+        for ids, targets in shuffled_batches(
+            dataset.examples, sft.batch_size, data_rng,
+            tok.special.pad_id, dataset.ignore_index,
+        ):
+            logits = model.forward(ids)
+            loss = cross_entropy_logits(logits, targets)
             opt.zero_grad()
             loss.backward(np.asarray(scaler.loss_factor(), dtype=np.float32))
-            tokens += batch.ids.size
+            tokens += ids.size
             if not scaler.unscale_and_check(params):
                 continue
             clipper.clip(params)
@@ -121,8 +140,8 @@ def seed_sft_loop(cfg, base, tok, records) -> tuple[float, int]:
     return time.perf_counter() - t0, tokens
 
 
-def trainer_sft_loop(cfg, base, tok, records, bucket: bool) -> tuple[float, int]:
-    sft = dataclasses.replace(cfg.sft, epochs=SFT_EPOCHS, bucket_by_length=bucket)
+def trainer_sft_loop(cfg, base, tok, records) -> tuple[float, int]:
+    sft = dataclasses.replace(cfg.sft, epochs=SFT_EPOCHS)
     model = base.copy()
     # Assemble outside the timed region, mirroring the seed baseline
     # (its clock also starts after dataset/optimizer setup) so the
@@ -143,8 +162,7 @@ def main() -> None:
     pretrain_stats = bench_pretrain(cfg)
 
     seed_sec, seed_tokens = seed_sft_loop(cfg, base, tok, records)
-    unb_sec, unb_tokens = trainer_sft_loop(cfg, base, tok, records, bucket=False)
-    buck_sec, buck_tokens = trainer_sft_loop(cfg, base, tok, records, bucket=True)
+    trainer_sec, trainer_tokens = trainer_sft_loop(cfg, base, tok, records)
 
     payload = {
         "preset": cfg.model.name,
@@ -158,25 +176,13 @@ def main() -> None:
         "sft": {
             "epochs": SFT_EPOCHS,
             "n_records": len(records),
-            "padded_tokens": {
-                "seed_loop": seed_tokens,
-                "trainer_unbucketed": unb_tokens,
-                "trainer_bucketed": buck_tokens,
-            },
-            "seconds": {
-                "seed_loop": seed_sec,
-                "trainer_unbucketed": unb_sec,
-                "trainer_bucketed": buck_sec,
-            },
+            "padded_tokens": {"seed_loop": seed_tokens, "trainer": trainer_tokens},
+            "seconds": {"seed_loop": seed_sec, "trainer": trainer_sec},
             "tokens_per_sec": {
                 "seed_loop": seed_tokens / seed_sec,
-                "trainer_unbucketed": unb_tokens / unb_sec,
-                "trainer_bucketed": buck_tokens / buck_sec,
+                "trainer": trainer_tokens / trainer_sec,
             },
-            "speedup": {
-                "trainer_unbucketed_vs_seed": seed_sec / unb_sec,
-                "trainer_bucketed_vs_seed": seed_sec / buck_sec,
-            },
+            "speedup": {"trainer_vs_seed": seed_sec / trainer_sec},
         },
     }
     (OUT_DIR / "BENCH_train.json").write_text(json.dumps(payload, indent=1) + "\n")
@@ -191,12 +197,9 @@ def main() -> None:
                 f"resumed: {pretrain_stats['tokens_per_sec']['resumed']:9,.0f} tok/s   "
                 f"(loss parity: {pretrain_stats['loss_parity']})",
                 f"  SFT           seed loop: {sft['seconds']['seed_loop']:.2f}s   "
-                f"trainer: {sft['seconds']['trainer_unbucketed']:.2f}s   "
-                f"bucketed: {sft['seconds']['trainer_bucketed']:.2f}s",
-                f"                speedup vs seed: "
-                f"{sft['speedup']['trainer_unbucketed_vs_seed']:.2f}x unbucketed, "
-                f"{sft['speedup']['trainer_bucketed_vs_seed']:.2f}x bucketed",
-                f"  artifact: {OUT_DIR / 'BENCH_train.json'}",
+                f"trainer: {sft['seconds']['trainer']:.2f}s   "
+                f"speedup vs seed: {sft['speedup']['trainer_vs_seed']:.2f}x",
+                "  artifact: benchmarks/out/BENCH_train.json",
             ]
         ),
     )

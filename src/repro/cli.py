@@ -70,6 +70,9 @@ def cmd_train(args) -> int:
 
     from repro.train import StepInfo
 
+    if args.log_every < 0:
+        print("error: --log-every must be >= 0", file=sys.stderr)
+        return 2
     if args.checkpoint_every and not args.checkpoint:
         print("error: --checkpoint-every requires --checkpoint", file=sys.stderr)
         return 2

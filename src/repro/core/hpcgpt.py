@@ -335,7 +335,8 @@ class HPCGPTSystem:
         recalibrates the detection threshold over the combined data,
         persists a versioned update checkpoint (so a restarted process
         resumes from the updated model, not the original build), and
-        rebuilds the serving engine.  Returns the training stats."""
+        rebuilds the serving engine.  Returns the
+        :class:`repro.train.TrainReport` of the update run."""
         import dataclasses
 
         records = list(records)
@@ -345,7 +346,7 @@ class HPCGPTSystem:
             if epochs is not None:
                 sft = dataclasses.replace(sft, epochs=epochs)
             trainer = SFTTrainer(model, self.tokenizer, sft)
-            stats = trainer.train(records)
+            report = trainer.train(records)
             merge_lora(model)
             model.eval()
             combined = self.collect_data().records + records
@@ -366,7 +367,7 @@ class HPCGPTSystem:
                         "n_records": len(records),
                     },
                 )
-        return stats
+        return report
 
     # -- §5: the retrieval subsystem ---------------------------------------------------
 

@@ -5,17 +5,16 @@ Recipe knobs mirror the paper: constant learning rate (2e-5 on the real
 PEFT semantics (base frozen, adapters trained), fp16 simulation, and
 gradient clipping.
 
-The loop itself is the unified :class:`repro.train.Trainer` — this
-module owns only the SFT-specific parts: LoRA application, the chat
--formatted dataset, and length-bucketed batching (a shuffled batch no
-longer pads every row to the longest row the shuffle dealt it).
+The loop itself is the unified :class:`repro.train.Trainer`, batching
+is :class:`repro.train.PaddedExampleSource` (length-bucketed), and
+:meth:`SFTTrainer.train` returns the engine's
+:class:`repro.train.TrainReport` unchanged.  This module owns only the
+SFT-specific parts: LoRA application and the chat-formatted dataset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.datagen.schema import InstructionRecord
 from repro.finetune.dataset import SFTDataset
@@ -27,6 +26,7 @@ from repro.train import (
     PaddedExampleSource,
     Trainer,
     TrainerConfig,
+    TrainReport,
 )
 from repro.utils.rng import derive_rng
 
@@ -41,55 +41,13 @@ class SFTConfig:
     max_seq_len: int = 448
     lora: LoRAConfig = field(default_factory=lambda: LoRAConfig(rank=4))
     fp16: Fp16Config = field(default_factory=Fp16Config)
-    grad_clip: float = 1.0
-    grad_accum: int = 1
-    weight_decay: float = 0.0
     schedule: str = "constant"  # the paper trains at a constant LR
     warmup_steps: int = 0
-    min_lr: float = 0.0
-    #: Group batches by length (cuts padded-token waste); ``False``
-    #: reproduces the seed loop's shuffle-then-pad batching.
-    bucket_by_length: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-
-
-@dataclass
-class TrainStats:
-    """Loss curve and bookkeeping from one fine-tuning run."""
-
-    losses: list[float] = field(default_factory=list)
-    steps: int = 0
-    skipped_steps: int = 0
-    seconds: float = 0.0
-    trainable_params: int = 0
-    total_params: int = 0
-
-    @property
-    def trainable_fraction(self) -> float:
-        return self.trainable_params / self.total_params if self.total_params else 0.0
-
-    def mean_loss(self, last: int = 20) -> float:
-        tail = self.losses[-last:] if self.losses else [float("nan")]
-        return float(np.mean(tail))
-
-    @classmethod
-    def from_report(
-        cls, report, trainable_params: int, total_params: int
-    ) -> "TrainStats":
-        """Wrap a :class:`repro.train.TrainReport` — the single place
-        that maps engine counters onto the SFT-facing stats."""
-        return cls(
-            losses=report.losses,
-            steps=report.steps,
-            skipped_steps=report.skipped_steps,
-            seconds=report.seconds,
-            trainable_params=trainable_params,
-            total_params=total_params,
-        )
 
 
 class SFTTrainer:
@@ -128,24 +86,13 @@ class SFTTrainer:
             ignore_index=dataset.ignore_index,
             seed=cfg.seed,
             scope="sft/batches",
-            bucket_by_length=cfg.bucket_by_length,
         )
-        # ``epochs`` counts dataset passes: each optimizer step consumes
-        # ``grad_accum`` batches, so divide (min 1) or accumulation
-        # would silently multiply the passes.
-        total_batches = cfg.epochs * source.steps_per_epoch
         tcfg = TrainerConfig(
-            max_steps=max(1, total_batches // cfg.grad_accum),
+            max_steps=cfg.epochs * source.steps_per_epoch,
             lr=cfg.lr,
-            optimizer="adamw",
-            weight_decay=cfg.weight_decay,
             schedule=cfg.schedule,
             warmup_steps=cfg.warmup_steps,
-            min_lr=cfg.min_lr,
-            grad_clip=cfg.grad_clip,
-            grad_accum=cfg.grad_accum,
             fp16=cfg.fp16,
-            loss_on="supervised",
             checkpoint_every=checkpoint_every,
             checkpoint_path=checkpoint_path,
         )
@@ -157,11 +104,8 @@ class SFTTrainer:
         resume_from: str | None = None,
         checkpoint_every: int = 0,
         checkpoint_path: str | None = None,
-    ) -> TrainStats:
-        total_params = self.model.num_parameters()
+    ) -> TrainReport:
         trainer = self.trainer(
             records, checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_path
         )
-        trainable_params = self.model.num_parameters(trainable_only=True)
-        report = trainer.train(resume_from=resume_from)
-        return TrainStats.from_report(report, trainable_params, total_params)
+        return trainer.train(resume_from=resume_from)

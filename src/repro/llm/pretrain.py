@@ -60,7 +60,6 @@ class PretrainConfig:
     seed: int = 0
     schedule: str = "constant"  # constant | cosine | warmup-cosine
     warmup_steps: int = 0
-    min_lr: float = 0.0
 
 
 def build_general_corpus(config: PretrainConfig) -> list[str]:
@@ -140,12 +139,9 @@ def pretrain_trainer(
     tcfg = TrainerConfig(
         max_steps=pre.steps,
         lr=pre.lr,
-        optimizer="adamw",
         weight_decay=0.01,
         schedule=pre.schedule,
         warmup_steps=pre.warmup_steps,
-        min_lr=pre.min_lr,
-        grad_clip=1.0,
         checkpoint_every=checkpoint_every,
         checkpoint_path=checkpoint_path,
     )

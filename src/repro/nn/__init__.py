@@ -2,8 +2,8 @@
 
 Provides the modules a LLaMA-architecture causal LM needs (token
 embedding, RMSNorm, rotary-position multi-head attention, SwiGLU MLP),
-plus LoRA adapters for parameter-efficient fine-tuning, AdamW/SGD
-optimizers, LR schedules, and checkpoint (de)serialization.
+plus LoRA adapters for parameter-efficient fine-tuning, the AdamW
+optimizer, LR schedules, and checkpoint (de)serialization.
 """
 
 from repro.nn.module import Module, Parameter, ParameterDict
@@ -17,7 +17,7 @@ from repro.nn.attention import (
 )
 from repro.nn.transformer import SwiGLU, TransformerBlock
 from repro.nn.lora import LoRAConfig, LoRALinear, apply_lora, lora_state, merge_lora
-from repro.nn.optim import SGD, AdamW, GradClipper, Optimizer
+from repro.nn.optim import AdamW, GradClipper, Optimizer
 from repro.nn.schedule import ConstantLR, CosineLR, LinearWarmupCosine
 from repro.nn.serialization import atomic_savez, load_state, save_state, state_dict_to_bytes
 
@@ -41,7 +41,6 @@ __all__ = [
     "lora_state",
     "merge_lora",
     "Optimizer",
-    "SGD",
     "AdamW",
     "GradClipper",
     "ConstantLR",

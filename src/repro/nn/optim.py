@@ -1,4 +1,4 @@
-"""Optimizers: SGD (momentum) and AdamW, plus global-norm grad clipping.
+"""The AdamW optimizer, plus global-norm grad clipping.
 
 AdamW follows Loshchilov & Hutter's decoupled weight decay, the standard
 recipe for LLM fine-tuning (and what HuggingFace `Trainer` — the paper's
@@ -58,34 +58,6 @@ class Optimizer:
                     f"have {buf.shape}, got {arr.shape}"
                 )
             slots[i] = arr.copy()
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, params: list[Parameter], lr: float, momentum: float = 0.0) -> None:
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {f"velocity.{i}": v.copy() for i, v in enumerate(self._velocity)}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        self._load_slots(self._velocity, state, "velocity")
 
 
 class AdamW(Optimizer):

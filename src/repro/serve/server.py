@@ -230,7 +230,7 @@ class ServingFrontend:
             # task="datarace", so dropping the tag would silently
             # exclude new race examples from recalibration.
             updates = {
-                field: str(d[field])
+                field: d[field]
                 for field in ("task", "language")
                 if not getattr(rec, field) and d.get(field)
             }
@@ -239,19 +239,19 @@ class ServingFrontend:
         records = [parse(d) for d in options["records"]]
         epochs = options.get("epochs")
         with self._system_lock:
-            stats = self.system.update_with(records, version=version, epochs=epochs)
+            report = self.system.update_with(records, version=version, epochs=epochs)
             threshold = self.system.threshold(version)
             # Rebuild eagerly so the first post-update request does not
             # pay the engine warm-up.
             self.system.engine(version)
         result = {"version": version, "n_records": len(records),
                   "threshold": float(threshold)}
-        if stats is not None:
+        if report is not None:
             result.update(
-                steps=int(stats.steps),
-                skipped_steps=int(stats.skipped_steps),
-                mean_loss=float(stats.mean_loss()),
-                seconds=float(stats.seconds),
+                steps=int(report.steps),
+                skipped_steps=int(report.skipped_steps),
+                mean_loss=float(report.mean_loss()),
+                seconds=float(report.seconds),
             )
         return result
 
@@ -294,6 +294,19 @@ def _flag(payload: dict, key: str) -> bool:
     if not isinstance(value, bool):
         raise _BadRequest(f"{key!r} must be true or false")
     return value
+
+
+def _check_record(rec, where: str) -> None:
+    """Reject an update record that :meth:`InstructionRecord.from_json`
+    would not turn into string fields."""
+    if not isinstance(rec, dict) or not rec.get("instruction") or "output" not in rec:
+        raise _BadRequest(f"{where} needs 'instruction' and 'output' fields")
+    for key in ("instruction", "output", "input", "task", "language"):
+        if key in rec and not isinstance(rec[key], str):
+            raise _BadRequest(f"{where}.{key} must be a string")
+    meta = rec.get("meta", {})
+    if not isinstance(meta, dict) or not all(isinstance(v, str) for v in meta.values()):
+        raise _BadRequest(f"{where}.meta must be an object of strings")
 
 
 def _version(payload: dict) -> str:
@@ -459,8 +472,7 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
         if not isinstance(records, list) or not records:
             raise _BadRequest("missing 'records' (non-empty list)")
         for i, rec in enumerate(records):
-            if not isinstance(rec, dict) or not rec.get("instruction") or "output" not in rec:
-                raise _BadRequest(f"records[{i}] needs 'instruction' and 'output' fields")
+            _check_record(rec, f"records[{i}]")
         version = _version(payload)
         options: dict = {"records": records}
         epochs = _positive_int(payload, "epochs")

@@ -3,10 +3,11 @@
 
 One :class:`Trainer` is the only training loop in the repo: base-model
 pretraining, supervised fine-tuning, and §5 continual updates all wire
-through it with different data sources and configs.  It is schedulable
-(:mod:`repro.nn.schedule`), fp16-aware, gradient-accumulating, and
-checkpointable — an interrupted run resumes bit-exactly from a
-:mod:`repro.train.checkpoint` file.
+through it with different data sources and configs.  It is one recipe —
+AdamW, global-norm clipping at 1.0, an LR schedule
+(:mod:`repro.nn.schedule`), optional fp16 — and checkpointable: an
+interrupted run resumes bit-exactly from a :mod:`repro.train.checkpoint`
+file.
 """
 
 from repro.train.checkpoint import (

@@ -42,7 +42,6 @@ def save_checkpoint(
     scaler,
     step: int,
     losses: list[float],
-    skipped_steps: int = 0,
     extra: dict | None = None,
 ) -> Path:
     """Write a resumable training checkpoint; returns the path written.
@@ -60,7 +59,6 @@ def save_checkpoint(
     doc = {
         "version": CHECKPOINT_VERSION,
         "step": int(step),
-        "skipped_steps": int(skipped_steps),
         "optimizer": type(optimizer).__name__,
         "source": source.state_dict(),
         "scaler": scaler.state_dict(),
@@ -86,7 +84,9 @@ def load_checkpoint(
     scaler,
 ) -> dict:
     """Restore every training-state component in place; returns a dict
-    with ``step``, ``losses``, ``skipped_steps``, and ``extra``."""
+    with ``step``, ``losses``, and ``extra``.  The skipped-step count
+    lives in the scaler state (older files also carry a top-level
+    ``skipped_steps`` copy, which is ignored)."""
     with np.load(path, allow_pickle=False) as npz:
         doc = json.loads(str(npz[_JSON][()]))
         if doc.get("version") != CHECKPOINT_VERSION:
@@ -112,7 +112,6 @@ def load_checkpoint(
     scaler.load_state_dict(doc["scaler"])
     return {
         "step": int(doc["step"]),
-        "skipped_steps": int(doc["skipped_steps"]),
         "losses": losses,
         "extra": doc.get("extra", {}),
     }

@@ -11,9 +11,9 @@ substrate we simulate the numerically relevant parts:
   skipped and the scale halved (dynamic loss scaling), doubling back
   after a streak of good steps.
 
-This is training-wide machinery (pretraining, SFT, and continual
-updates all run through it via :class:`repro.train.Trainer`), so it
-lives here; :mod:`repro.finetune.fp16` re-exports for compatibility.
+This is training-wide machinery: pretraining, SFT, and continual
+updates all run through it via :class:`repro.train.Trainer`.  The
+scaler's ``skipped`` count is the run's one skipped-step counter.
 """
 
 from __future__ import annotations

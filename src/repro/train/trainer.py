@@ -11,14 +11,15 @@ The loop composes the pluggable pieces:
 
 * a **data source** (:mod:`repro.train.data`) with serialisable RNG
   position;
-* an **optimizer** (``AdamW`` / ``SGD``) with ``state_dict`` moments;
+* **AdamW** with ``state_dict`` moments;
 * an **LR schedule** (:mod:`repro.nn.schedule` — constant, cosine, or
   linear-warmup cosine), evaluated every step;
-* **fp16 loss scaling** (:mod:`repro.train.fp16`), gradient
-  accumulation, and global-norm clipping;
+* **fp16 loss scaling** (:mod:`repro.train.fp16`) and global-norm
+  clipping at 1.0;
 * the **fused cross-entropy** objective
   (:func:`repro.tensor.fused_cross_entropy`), which never materialises
-  the full log-prob matrix;
+  the full log-prob matrix — and, when a batch masks any target, runs
+  the LM head over the supervised positions only;
 * periodic :mod:`repro.train.checkpoint` files, from which
   :meth:`Trainer.train` resumes *bit-exactly*.
 """
@@ -32,13 +33,12 @@ from typing import Callable
 import numpy as np
 
 from repro.nn.module import Module
-from repro.nn.optim import AdamW, GradClipper, SGD
+from repro.nn.optim import AdamW, GradClipper
 from repro.nn.schedule import ConstantLR, CosineLR, LinearWarmupCosine
 from repro.tensor import fused_cross_entropy, take_rows
 from repro.train.checkpoint import load_checkpoint, save_checkpoint
 from repro.train.fp16 import Fp16Config, LossScaler, round_to_fp16
 
-OPTIMIZERS = ("adamw", "sgd")
 SCHEDULES = ("constant", "cosine", "warmup-cosine")
 
 
@@ -48,37 +48,20 @@ class TrainerConfig:
 
     max_steps: int
     lr: float
-    optimizer: str = "adamw"
     weight_decay: float = 0.0
-    betas: tuple[float, float] = (0.9, 0.999)
-    momentum: float = 0.0  # SGD only
     schedule: str = "constant"
     warmup_steps: int = 0
-    min_lr: float = 0.0
-    grad_clip: float = 1.0  # 0 disables clipping
-    grad_accum: int = 1
     fp16: Fp16Config = field(default_factory=lambda: Fp16Config(enabled=False))
-    #: ``"supervised"`` projects only non-ignored target positions
-    #: through the LM head (requires the model to expose
-    #: ``forward(..., return_hidden=True)`` + ``output_logits``); the
-    #: gradient is identical — ignored positions contribute zero — but
-    #: the head matmul shrinks to the supervised fraction, which for SFT
-    #: is the short answer span of each row.
-    loss_on: str = "all"  # all | supervised
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
     checkpoint_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.grad_accum < 1:
-            raise ValueError("grad_accum must be >= 1")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}; have {OPTIMIZERS}")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}; have {SCHEDULES}")
-        if self.loss_on not in ("all", "supervised"):
-            raise ValueError(f"unknown loss_on {self.loss_on!r}")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
         if self.checkpoint_every and not self.checkpoint_path:
             raise ValueError("checkpoint_every requires checkpoint_path")
 
@@ -88,12 +71,9 @@ def make_schedule(config: TrainerConfig):
     if config.schedule == "constant":
         return ConstantLR(config.lr)
     if config.schedule == "cosine":
-        return CosineLR(config.lr, total_steps=config.max_steps, min_lr=config.min_lr)
+        return CosineLR(config.lr, total_steps=config.max_steps)
     return LinearWarmupCosine(
-        config.lr,
-        warmup_steps=config.warmup_steps,
-        total_steps=config.max_steps,
-        min_lr=config.min_lr,
+        config.lr, warmup_steps=config.warmup_steps, total_steps=config.max_steps
     )
 
 
@@ -129,8 +109,8 @@ class Trainer:
     Parameters
     ----------
     model:
-        Any :class:`repro.nn.Module` whose ``forward(ids)`` returns
-        ``(B, T, vocab)`` logits; only its *trainable* parameters are
+        A :class:`repro.llm.CausalLM` (``forward(ids, return_hidden=...)``
+        and ``output_logits``); only its *trainable* parameters are
         optimised (so LoRA-wrapped models train just the adapters).
     source:
         A data source from :mod:`repro.train.data` (or anything with
@@ -152,31 +132,30 @@ class Trainer:
         self.config = config
         self.callbacks = list(callbacks or [])
         self.params = model.trainable_parameters()
-        if config.optimizer == "adamw":
-            self.optimizer = AdamW(
-                self.params, lr=config.lr, betas=config.betas,
-                weight_decay=config.weight_decay,
-            )
-        else:
-            self.optimizer = SGD(self.params, lr=config.lr, momentum=config.momentum)
+        self.optimizer = AdamW(
+            self.params, lr=config.lr, weight_decay=config.weight_decay
+        )
         self.schedule = make_schedule(config)
         self.scaler = LossScaler(config.fp16)
-        self.clipper = GradClipper(config.grad_clip) if config.grad_clip > 0 else None
-        self._sparse_loss = config.loss_on == "supervised" and hasattr(
-            model, "output_logits"
-        )
+        self.clipper = GradClipper(1.0)
         # Mutable run state (also what checkpoints capture).
         self._step = 0
         self._losses: list[float] = []
-        self._skipped = 0
 
     def _loss(self, batch):
-        """Forward + objective for one micro-batch.  The ignore index
-        travels with the batch (set by the data source), so non-default
-        masking works on both paths."""
-        if self._sparse_loss:
-            flat_targets = batch.targets.reshape(-1)
-            idx = np.nonzero(flat_targets != batch.ignore_index)[0]
+        """Forward + objective for one batch.
+
+        A batch that masks any target (SFT: prompt and pad positions)
+        projects only its supervised positions through the LM head —
+        the gradient is identical, since ignored positions contribute
+        zero, but the head matmul shrinks to the answer spans.  A batch
+        with no masked target (pretraining) runs the full head.  The
+        ignore index travels with the batch (set by the data source),
+        so non-default masking works on both paths."""
+        flat_targets = batch.targets.reshape(-1)
+        supervised = flat_targets != batch.ignore_index
+        if not supervised.all():
+            idx = np.nonzero(supervised)[0]
             hidden = self.model.forward(batch.ids, return_hidden=True)
             b, t, d = hidden.shape
             # nonzero yields unique indices, so the fast-gather op's
@@ -203,7 +182,6 @@ class Trainer:
             self.scaler,
             step=self._step,
             losses=self._losses,
-            skipped_steps=self._skipped,
             extra=extra,
         )
 
@@ -213,7 +191,6 @@ class Trainer:
         )
         self._step = meta["step"]
         self._losses = list(meta["losses"])
-        self._skipped = meta["skipped_steps"]
         if self._step > self.config.max_steps:
             raise ValueError(
                 f"checkpoint at step {self._step} is beyond max_steps "
@@ -235,23 +212,14 @@ class Trainer:
             lr = self.schedule(step)
             self.optimizer.lr = lr
             self.optimizer.zero_grad()
-            step_loss = 0.0
-            for _ in range(cfg.grad_accum):
-                batch = self.source.next_batch()
-                loss = self._loss(batch)
-                loss.backward(
-                    np.asarray(
-                        self.scaler.loss_factor() / cfg.grad_accum, dtype=np.float32
-                    )
-                )
-                step_loss += loss.item() / cfg.grad_accum
-                report.tokens += batch.n_tokens
+            batch = self.source.next_batch()
+            loss = self._loss(batch)
+            loss.backward(np.asarray(self.scaler.loss_factor(), dtype=np.float32))
+            step_loss = loss.item()
+            report.tokens += batch.n_tokens
             skipped = not self.scaler.unscale_and_check(params)
-            if skipped:
-                self._skipped += 1
-            else:
-                if self.clipper is not None:
-                    self.clipper.clip(params)
+            if not skipped:
+                self.clipper.clip(params)
                 self.optimizer.step()
                 if cfg.fp16.enabled:
                     round_to_fp16(model, trainable_only=True)
@@ -268,6 +236,6 @@ class Trainer:
         report.seconds = time.perf_counter() - t0
         report.losses = list(self._losses)
         report.steps = len(self._losses)
-        report.skipped_steps = self._skipped
+        report.skipped_steps = self.scaler.skipped
         model.eval()
         return report

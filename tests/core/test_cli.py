@@ -62,6 +62,18 @@ class TestParser:
         assert main(["train", "--warmup-steps", "5"]) == 2
         assert "--schedule warmup-cosine" in capsys.readouterr().err
 
+    def test_train_negative_log_interval_rejected(self, capsys):
+        assert main(["train", "--preset", "small", "--steps", "2",
+                     "--log-every", "-1"]) == 2
+        assert "--log-every" in capsys.readouterr().err
+
+    def test_train_negative_checkpoint_interval_rejected(self, capsys, tmp_path):
+        ck = tmp_path / "ck.npz"
+        assert main(["train", "--preset", "small", "--steps", "4",
+                     "--checkpoint", str(ck), "--checkpoint-every", "-2"]) == 2
+        assert "checkpoint_every" in capsys.readouterr().err
+        assert not ck.exists()
+
     def test_train_bad_resume_file_clean_error(self, capsys, tmp_path):
         from repro.cli import main
 

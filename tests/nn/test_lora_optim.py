@@ -1,10 +1,9 @@
-"""Tests for LoRA adapters, optimizers, schedules, and serialization."""
+"""Tests for LoRA adapters, AdamW and grad clipping, schedules, and serialization."""
 
 import numpy as np
 import pytest
 
 from repro.nn import (
-    SGD,
     AdamW,
     ConstantLR,
     CosineLR,
@@ -134,14 +133,6 @@ class TestOptim:
             opt.step()
         return p.data
 
-    def test_sgd_converges(self):
-        final = self._quadratic_min(lambda ps: SGD(ps, lr=0.1))
-        np.testing.assert_allclose(final, [0.0, 0.0], atol=1e-3)
-
-    def test_sgd_momentum_converges(self):
-        final = self._quadratic_min(lambda ps: SGD(ps, lr=0.05, momentum=0.9))
-        np.testing.assert_allclose(final, [0.0, 0.0], atol=1e-2)
-
     def test_adamw_converges(self):
         final = self._quadratic_min(lambda ps: AdamW(ps, lr=0.1))
         np.testing.assert_allclose(final, [0.0, 0.0], atol=1e-2)
@@ -164,10 +155,10 @@ class TestOptim:
         with pytest.raises(ValueError):
             AdamW([p], lr=0)
         with pytest.raises(ValueError):
-            SGD([p], lr=0.1, momentum=1.5)
+            AdamW([p], lr=0.1, betas=(1.0, 0.999))
         p.requires_grad = False
         with pytest.raises(ValueError):
-            SGD([p], lr=0.1)
+            AdamW([p], lr=0.1)
 
     def test_grad_clipper(self):
         from repro.nn.module import Parameter

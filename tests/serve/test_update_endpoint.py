@@ -70,6 +70,13 @@ class TestUpdateEndpoint:
             {"records": RECORDS, "version": "l3"},  # unknown version
             {"records": RECORDS, "epochs": "many"},  # non-integer epochs
             {"records": RECORDS, "epochs": 0},  # < 1
+            {"records": [{"instruction": 5, "output": "yes"}]},
+            {"records": [{"instruction": "x", "output": None}]},
+            {"records": [{"instruction": "x", "output": "yes", "input": ["a"]}]},
+            {"records": [{"instruction": "x", "output": "yes", "task": {"a": 1}}]},
+            {"records": [{"instruction": "x", "output": "yes", "language": 3}]},
+            {"records": [{"instruction": "x", "output": "yes", "meta": "x"}]},
+            {"records": [{"instruction": "x", "output": "yes", "meta": {"task": 1}}]},
         ],
     )
     def test_bad_payloads_rejected(self, update_server, payload):

@@ -73,16 +73,15 @@ class TestPaddedExampleSource:
     def test_bucketing_reduces_padding(self):
         examples = make_examples(n=32, max_len=60)
         total = sum(len(ids) for ids, _ in examples)
-
-        def padded_tokens(bucket):
-            src = PaddedExampleSource(
-                examples, batch_size=4, seed=0, bucket_by_length=bucket
-            )
-            return sum(src.next_batch().n_tokens for _ in range(src.steps_per_epoch))
-
-        bucketed, seed_style = padded_tokens(True), padded_tokens(False)
-        assert bucketed >= total
-        assert bucketed < seed_style
+        src = PaddedExampleSource(examples, batch_size=4, seed=0)
+        bucketed = sum(src.next_batch().n_tokens for _ in range(src.steps_per_epoch))
+        # The seed loop's batching: shuffle every example, slice into
+        # batches, pad each batch to its longest row.
+        lengths = [len(ids) for ids, _ in examples]
+        order = derive_rng(0, "tests/train/shuffle").permutation(len(examples))
+        chunks = [order[start : start + 4] for start in range(0, len(order), 4)]
+        shuffled = sum(len(c) * max(lengths[i] for i in c) for c in chunks)
+        assert total <= bucketed < shuffled
 
     def test_bucketed_batches_are_length_sorted_groups(self):
         examples = make_examples(n=24, max_len=50)

@@ -1,18 +1,29 @@
-"""Edge-case coverage for the fp16 loss scaler and the grad clipper
-(the satellite checklist of the unified-trainer PR)."""
+"""Edge-case coverage for the fp16 simulation (weight rounding and the
+loss scaler) and the grad clipper."""
 
 import numpy as np
 import pytest
 
-from repro.nn import GradClipper
+from repro.nn import GradClipper, Linear
 from repro.nn.module import Parameter
-from repro.train import Fp16Config, LossScaler
+from repro.train import Fp16Config, LossScaler, round_to_fp16
+from repro.utils.rng import derive_rng
 
 
 def param_with_grad(values):
     p = Parameter(np.zeros(len(values), dtype=np.float32))
     p.grad = np.asarray(values, dtype=np.float32)
     return p
+
+
+class TestRoundToFp16:
+    def test_round_to_fp16_quantises(self):
+        lin = Linear(4, 4, derive_rng(0, "fp"))
+        lin.weight.data += 1e-9  # below fp16 resolution
+        before = lin.weight.data.copy()
+        round_to_fp16(lin)
+        assert lin.weight.data.dtype == np.float32
+        assert not np.array_equal(before, lin.weight.data)
 
 
 class TestLossScalerBackoff:

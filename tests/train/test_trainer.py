@@ -1,14 +1,15 @@
-"""Tests for the unified Trainer: fitting, schedules, grad
-accumulation, callbacks, and config validation."""
+"""Tests for the unified Trainer: fitting, schedules, the LM-head path,
+callbacks, skipped steps, and config validation."""
 
 import numpy as np
 import pytest
 
 from repro.llm import CausalLM, ModelConfig
-from repro.nn import AdamW, SGD
+from repro.nn import AdamW
 from repro.nn.schedule import ConstantLR, CosineLR, LinearWarmupCosine
 from repro.train import (
     Fp16Config,
+    PaddedExampleSource,
     StepInfo,
     TokenStreamSource,
     Trainer,
@@ -49,14 +50,6 @@ class TestTraining:
             runs.append(trainer.train().losses)
         assert runs[0] == runs[1]
 
-    def test_sgd_optimizer(self):
-        trainer = Trainer(make_model(), make_source(),
-                          TrainerConfig(max_steps=10, lr=1e-2,
-                                        optimizer="sgd", momentum=0.9))
-        assert isinstance(trainer.optimizer, SGD)
-        report = trainer.train()
-        assert np.isfinite(report.mean_loss())
-
     def test_adamw_default(self):
         trainer = Trainer(make_model(), make_source(),
                           TrainerConfig(max_steps=1, lr=1e-3))
@@ -81,11 +74,21 @@ class TestTraining:
                 p.data, p.data.astype(np.float16).astype(np.float32)
             )
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in backward
+    def test_skipped_steps_come_from_the_scaler(self):
+        # An infinite loss scale overflows every gradient (and halving
+        # keeps it infinite): each step is skipped, and the report
+        # counts the scaler's skips.
+        trainer = Trainer(make_model(), make_source(),
+                          TrainerConfig(max_steps=3, lr=1e-3,
+                                        fp16=Fp16Config(init_scale=np.inf)))
+        report = trainer.train()
+        assert report.steps == 0 and report.losses == []
+        assert report.skipped_steps == trainer.scaler.skipped == 3
+
     def test_custom_ignore_index_equivalent_to_default(self):
         # The sparse supervised-only path must honour the source's
         # ignore index, not a hardcoded -100.
-        from repro.train import PaddedExampleSource
-
         rng = derive_rng(9, "tests/train/ignore")
         examples = []
         for _ in range(8):
@@ -99,29 +102,56 @@ class TestTraining:
             exs = [(ids, np.where(t == -100, ignore, t)) for ids, t in examples]
             model = make_model(seed=2)
             src = PaddedExampleSource(exs, batch_size=4, ignore_index=ignore, seed=0)
-            cfg = TrainerConfig(max_steps=4, lr=1e-3, loss_on="supervised")
+            cfg = TrainerConfig(max_steps=4, lr=1e-3)
             return Trainer(model, src, cfg).train().losses
 
         assert run(-100) == run(-1)
 
-    def test_grad_accum_matches_single_big_batch(self):
-        # Identical rows -> every micro-batch is the same batch, so two
-        # accumulated micro-batches must equal one batch of double size.
-        rng = derive_rng(1, "tests/train/accum")
-        row = rng.integers(0, CFG.vocab_size, size=(1, 17)).astype(np.int64)
-        rows = np.repeat(row, 10, axis=0)
 
-        def run(batch_size, accum):
-            model = make_model(seed=4)
-            src = TokenStreamSource(rows, batch_size, seed=0)
-            Trainer(model, src, TrainerConfig(max_steps=4, lr=1e-3,
-                                              grad_accum=accum)).train()
-            return model.state_dict()
+class TestLossPath:
+    """The trainer picks the LM-head path from each batch: only the
+    supervised positions when the batch masks any target, the full
+    forward otherwise."""
 
-        small = run(batch_size=2, accum=3)
-        big = run(batch_size=6, accum=1)
-        for key in small:
-            np.testing.assert_allclose(small[key], big[key], atol=1e-5)
+    @staticmethod
+    def head_inputs(monkeypatch, source, steps=3):
+        shapes = []
+        head = CausalLM.output_logits
+
+        def spy(model, hidden):
+            shapes.append(hidden.shape)
+            return head(model, hidden)
+
+        monkeypatch.setattr(CausalLM, "output_logits", spy)
+        batches = []
+        next_batch = source.next_batch
+
+        def record():
+            batches.append(next_batch())
+            return batches[-1]
+
+        source.next_batch = record
+        Trainer(make_model(), source, TrainerConfig(max_steps=steps, lr=1e-3)).train()
+        return shapes, batches
+
+    def test_stream_batches_take_the_full_forward(self, monkeypatch):
+        shapes, batches = self.head_inputs(monkeypatch, make_source(batch_size=4))
+        assert shapes == [(4, 16, CFG.dim)] * 3
+        assert all(b.n_supervised == b.n_tokens for b in batches)
+
+    def test_masked_batches_take_the_supervised_head(self, monkeypatch):
+        rng = derive_rng(5, "tests/train/head")
+        examples = []
+        for _ in range(8):
+            length = int(rng.integers(6, 20))
+            ids = rng.integers(1, CFG.vocab_size, size=length).astype(np.int64)
+            targets = ids.copy()
+            targets[: length - 2] = -100  # a prompt, then a 2-token answer
+            examples.append((ids, targets))
+        source = PaddedExampleSource(examples, batch_size=4, seed=0)
+        shapes, batches = self.head_inputs(monkeypatch, source)
+        assert shapes == [(b.n_supervised, CFG.dim) for b in batches]
+        assert all(b.n_supervised == 2 * b.ids.shape[0] for b in batches)
 
 
 class TestSchedules:
@@ -134,7 +164,7 @@ class TestSchedules:
         lrs = []
         trainer = Trainer(
             make_model(), make_source(),
-            TrainerConfig(max_steps=10, lr=1e-3, schedule="cosine", min_lr=1e-5),
+            TrainerConfig(max_steps=10, lr=1e-3, schedule="cosine"),
             callbacks=[lambda i: lrs.append(i.lr)],
         )
         assert isinstance(trainer.schedule, CosineLR)
@@ -171,10 +201,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             TrainerConfig(max_steps=0, lr=1e-3)
         with pytest.raises(ValueError):
-            TrainerConfig(max_steps=1, lr=1e-3, grad_accum=0)
-        with pytest.raises(ValueError):
-            TrainerConfig(max_steps=1, lr=1e-3, optimizer="lion")
-        with pytest.raises(ValueError):
             TrainerConfig(max_steps=1, lr=1e-3, schedule="step")
         with pytest.raises(ValueError):
             TrainerConfig(max_steps=1, lr=1e-3, checkpoint_every=5)
+        # ``step % -2 == 0`` would checkpoint every 2 steps.
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            TrainerConfig(max_steps=4, lr=1e-3, checkpoint_every=-2,
+                          checkpoint_path="ck.npz")

@@ -4,12 +4,23 @@ Execution model
 ---------------
 Top-level statements run serially in the *master* context (no events —
 serial code cannot race).  Each parallel construct (``parallel for``,
-``parallel`` region, ``simd`` loop, ``target`` loop) spawns logical
-threads implemented as Python generators that *perform* each shared
-memory access and then yield control, so the scheduler can interleave
-threads at memory-operation granularity.  Synchronisation (locks,
-barriers, atomics, single) is mediated by the scheduler, which also
-maintains vector clocks and per-thread locksets.
+``parallel`` region, ``simd`` loop, ``target`` loop) spawns a team of
+logical threads implemented as Python generators.  A thread yields one
+*action* per shared memory access or synchronisation step, and the
+scheduler performs it, so threads interleave at memory-operation
+granularity.  The vocabulary has eight actions:
+
+* memory — ``("read", loc)``, ``("write", loc, value)`` and
+  ``("atomic", loc, op, rhs)`` (an indivisible read-modify-write, or an
+  indivisible store when ``op`` is None).  ``loc`` is the trace's own
+  location tuple, ``("sca", name)`` or ``("arr", name, index)``;
+* synchronisation — ``("acquire", lock)``, ``("release", lock)``,
+  ``("barrier",)``, ``("am_master",)`` and ``("single",)``.
+
+Serial and threaded code perform memory actions through the same
+:func:`_access`; the scheduler additionally logs each one as an event
+and mediates synchronisation, maintaining vector clocks and per-thread
+locksets.
 
 The output :class:`Trace` carries every shared-memory event with its
 vector clock, lockset, atomicity flag, and (for ``simd``) a lane marker —
@@ -38,7 +49,7 @@ import numpy as np
 from repro.openmp.ast_nodes import (
     Assign, AtomicStmt, Barrier, BinOp, CriticalSection, FlushStmt, Idx,
     IfStmt, Loop, MasterSection, Num, OrderedBlock, ParallelRegion, Program,
-    ScalarDecl, Seq, SingleSection, Var,
+    Seq, SingleSection, Var,
 )
 from repro.openmp.pragmas import Pragma
 from repro.runtime.clocks import ClockBank, EpochClock
@@ -75,24 +86,13 @@ class Trace:
     schedule_strategy: str = "random"
     n_threads: int = 0
     final_arrays: dict = field(default_factory=dict)
-    regions: int = 0
-
-    def shared_locations(self) -> set[tuple]:
-        return {e.loc for e in self.events}
 
 
 # ---------------------------------------------------------------------------
 # Expression / statement evaluation (generator-based)
 # ---------------------------------------------------------------------------
-
-
-class _Env:
-    """Per-thread environment: private variables shadow shared memory."""
-
-    __slots__ = ("locals",)
-
-    def __init__(self, locals_: dict | None = None) -> None:
-        self.locals: dict = locals_ or {}
+# A thread's environment is a plain dict of its private variables, which
+# shadow shared memory.
 
 
 def _as_index(value) -> int:
@@ -149,19 +149,30 @@ def _arith(op: str, a, b):
     raise ExecutionError(f"unknown operator {op!r}")
 
 
-def _eval(expr, env: _Env):
+def _access(mem: SharedMemory, action: tuple):
+    """Perform one memory action; returns the value a ``read`` loads."""
+    kind, loc = action[0], action[1]
+    if kind == "read":
+        return mem.load(loc)
+    if kind == "write":
+        mem.store(loc, action[2])
+    else:  # atomic
+        _, _, op, rhs = action
+        mem.store(loc, rhs if op is None else _arith(op, mem.load(loc), rhs))
+    return None
+
+
+def _eval(expr, env: dict):
     """Generator evaluating ``expr``; yields actions, returns the value."""
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Var):
-        if expr.name in env.locals:
-            return env.locals[expr.name]
-        value = yield ("read_sca", expr.name)
-        return value
+        if expr.name in env:
+            return env[expr.name]
+        return (yield ("read", ("sca", expr.name)))
     if isinstance(expr, Idx):
         idx = _as_index((yield from _eval(expr.index, env)))
-        value = yield ("read_arr", expr.array, idx)
-        return value
+        return (yield ("read", ("arr", expr.array, idx)))
     if isinstance(expr, BinOp):
         left = yield from _eval(expr.left, env)
         right = yield from _eval(expr.right, env)
@@ -169,7 +180,7 @@ def _eval(expr, env: _Env):
     raise ExecutionError(f"cannot evaluate {expr!r}")
 
 
-def _exec(stmt, env: _Env):
+def _exec(stmt, env: dict):
     """Generator executing one statement."""
     if isinstance(stmt, Assign):
         yield from _exec_assign(stmt, env, atomic=False)
@@ -190,15 +201,15 @@ def _exec(stmt, env: _Env):
         lo = _as_index((yield from _eval(stmt.lo, env)))
         hi = _as_index((yield from _eval(stmt.hi, env)))
         stop = hi + 1 if stmt.inclusive else hi
-        saved = stmt.var in env.locals
-        old = env.locals.get(stmt.var)
+        saved = stmt.var in env
+        old = env.get(stmt.var)
         for i in range(lo, stop, stmt.step):
-            env.locals[stmt.var] = i
+            env[stmt.var] = i
             yield from _exec(stmt.body, env)
         if saved:
-            env.locals[stmt.var] = old
+            env[stmt.var] = old
         else:
-            env.locals.pop(stmt.var, None)
+            env.pop(stmt.var, None)
     elif isinstance(stmt, CriticalSection):
         lock = f"$critical:{stmt.name or '<anon>'}"
         yield ("acquire", lock)
@@ -232,67 +243,39 @@ def _exec(stmt, env: _Env):
         raise ExecutionError(f"cannot execute {stmt!r}")
 
 
-def _exec_assign(stmt: Assign, env: _Env, atomic: bool):
-    if atomic and not (stmt.op is not None or isinstance(stmt.expr, BinOp)):
-        # `#pragma omp atomic write` style plain store — still indivisible.
-        pass
-    if isinstance(stmt.target, Var):
-        name = stmt.target.name
-        if name in env.locals:
+def _refers_to(expr, loc: tuple) -> bool:
+    """Whether ``expr`` names ``loc``'s scalar, or an element of its array."""
+    if isinstance(expr, Var):
+        return loc == ("sca", expr.name)
+    return isinstance(expr, Idx) and loc[0] == "arr" and loc[1] == expr.array
+
+
+def _exec_assign(stmt: Assign, env: dict, atomic: bool):
+    target = stmt.target
+    if isinstance(target, Var):
+        name = target.name
+        if name in env:
             # Private variable: no shared events at all.
             rhs = yield from _eval(stmt.expr, env)
-            if stmt.op is None:
-                env.locals[name] = rhs
-            else:
-                env.locals[name] = _arith(stmt.op, env.locals[name], rhs)
+            env[name] = rhs if stmt.op is None else _arith(stmt.op, env[name], rhs)
             return
-        if atomic:
-            # Fortran-style `s = s + x(i)` under atomic: evaluate the RHS
-            # reads normally, then commit the RMW indivisibly.
-            if stmt.op is None and isinstance(stmt.expr, BinOp) and (
-                isinstance(stmt.expr.left, Var) and stmt.expr.left.name == name
-            ):
-                rhs = yield from _eval(stmt.expr.right, env)
-                yield ("atomic_rmw_sca", name, stmt.expr.op, rhs)
-                return
-            if stmt.op is not None:
-                rhs = yield from _eval(stmt.expr, env)
-                yield ("atomic_rmw_sca", name, stmt.op, rhs)
-                return
-            rhs = yield from _eval(stmt.expr, env)
-            yield ("atomic_write_sca", name, rhs)
-            return
-        rhs = yield from _eval(stmt.expr, env)
-        if stmt.op is not None:
-            current = yield ("read_sca", name)
-            rhs = _arith(stmt.op, current, rhs)
-        yield ("write_sca", name, rhs)
-        return
-
-    # Array element target.
-    idx = _as_index((yield from _eval(stmt.target.index, env)))
-    name = stmt.target.array
+        loc = ("sca", name)
+    else:
+        loc = ("arr", target.array, _as_index((yield from _eval(target.index, env))))
+    expr, op = stmt.expr, stmt.op
     if atomic:
-        if stmt.op is not None:
-            rhs = yield from _eval(stmt.expr, env)
-            yield ("atomic_rmw_arr", name, idx, stmt.op, rhs)
-            return
-        if (
-            isinstance(stmt.expr, BinOp)
-            and isinstance(stmt.expr.left, Idx)
-            and stmt.expr.left.array == name
-        ):
-            rhs = yield from _eval(stmt.expr.right, env)
-            yield ("atomic_rmw_arr", name, idx, stmt.expr.op, rhs)
-            return
-        rhs = yield from _eval(stmt.expr, env)
-        yield ("atomic_write_arr", name, idx, rhs)
+        # Fortran-style `s = s + x(i)` under atomic: evaluate the RHS
+        # reads normally, then commit the RMW indivisibly.  A plain
+        # store (`#pragma omp atomic write`) is indivisible too.
+        if op is None and isinstance(expr, BinOp) and _refers_to(expr.left, loc):
+            expr, op = expr.right, expr.op
+        rhs = yield from _eval(expr, env)
+        yield ("atomic", loc, op, rhs)
         return
-    rhs = yield from _eval(stmt.expr, env)
-    if stmt.op is not None:
-        current = yield ("read_arr", name, idx)
-        rhs = _arith(stmt.op, current, rhs)
-    yield ("write_arr", name, idx, rhs)
+    rhs = yield from _eval(expr, env)
+    if op is not None:
+        rhs = _arith(op, (yield ("read", loc)), rhs)
+    yield ("write", loc, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +286,7 @@ _REDUCTION_INIT = {"+": 0.0, "-": 0.0, "*": 1.0, "max": -np.inf, "min": np.inf}
 
 
 class _Thread:
-    __slots__ = ("tid", "gen", "vc", "locks", "status", "send_value", "wait_lock", "is_master", "lane")
+    __slots__ = ("tid", "gen", "vc", "locks", "status", "send_value", "is_master", "lane")
 
     def __init__(self, tid, gen, vc: EpochClock, is_master: bool = False, lane: bool = False) -> None:
         self.tid = tid
@@ -312,7 +295,6 @@ class _Thread:
         self.locks: set[str] = set()
         self.status = "ready"  # ready | blocked | barrier | done
         self.send_value = None
-        self.wait_lock: str | None = None
         self.is_master = is_master
         self.lane = lane
 
@@ -367,54 +349,11 @@ class _Scheduler:
         """Apply ``action``; returns True if the thread stays ready (its
         ``send_value`` holds the resume payload)."""
         kind = action[0]
-        mem = self.mem
-        if kind == "read_sca":
-            name = action[1]
-            self._log(t, False, ("sca", name))
-            t.send_value = mem.read_scalar(name)
-            return True
-        if kind == "write_sca":
-            _, name, value = action
-            self._log(t, True, ("sca", name))
-            mem.write_scalar(name, float(value))
-            t.send_value = None
-            return True
-        if kind == "read_arr":
-            _, name, idx = action
-            self._log(t, False, ("arr", name, idx))
-            t.send_value = mem.read_array(name, idx)
-            return True
-        if kind == "write_arr":
-            _, name, idx, value = action
-            self._log(t, True, ("arr", name, idx))
-            mem.write_array(name, idx, float(value))
-            t.send_value = None
-            return True
-        if kind == "atomic_rmw_sca":
-            _, name, op, rhs = action
-            self._log(t, False, ("sca", name), atomic=True)
-            self._log(t, True, ("sca", name), atomic=True)
-            mem.write_scalar(name, float(_arith(op, mem.read_scalar(name), rhs)))
-            t.send_value = None
-            return True
-        if kind == "atomic_write_sca":
-            _, name, rhs = action
-            self._log(t, True, ("sca", name), atomic=True)
-            mem.write_scalar(name, float(rhs))
-            t.send_value = None
-            return True
-        if kind == "atomic_rmw_arr":
-            _, name, idx, op, rhs = action
-            self._log(t, False, ("arr", name, idx), atomic=True)
-            self._log(t, True, ("arr", name, idx), atomic=True)
-            mem.write_array(name, idx, float(_arith(op, mem.read_array(name, idx), rhs)))
-            t.send_value = None
-            return True
-        if kind == "atomic_write_arr":
-            _, name, idx, rhs = action
-            self._log(t, True, ("arr", name, idx), atomic=True)
-            mem.write_array(name, idx, float(rhs))
-            t.send_value = None
+        if kind in ("read", "write", "atomic"):
+            if kind == "atomic" and action[2] is not None:  # read-modify-write
+                self._log(t, False, action[1], atomic=True)
+            self._log(t, kind != "read", action[1], atomic=kind == "atomic")
+            t.send_value = _access(self.mem, action)
             return True
         if kind == "acquire":
             name = action[1]
@@ -428,7 +367,6 @@ class _Scheduler:
                 t.send_value = None
                 return True
             t.status = "blocked"
-            t.wait_lock = name
             self.lock_waiters.setdefault(name, []).append(t)
             return False
         if kind == "release":
@@ -446,7 +384,6 @@ class _Scheduler:
                 nxt.locks.add(name)
                 nxt.vc.join(self.lock_vcs[name])
                 nxt.status = "ready"
-                nxt.wait_lock = None
                 nxt.send_value = None
             t.send_value = None
             return True
@@ -523,138 +460,106 @@ class _Scheduler:
 # ---------------------------------------------------------------------------
 
 
-class _MasterContext:
-    """Serial execution of top-level statements plus team spawning."""
+class _Execution:
+    """One run of a program: serial top-level statements plus teams."""
 
-    def __init__(self, program: Program, n_threads: int, strategy: ScheduleStrategy) -> None:
+    def __init__(self, program: Program, n_threads: int, strategy: ScheduleStrategy, trace: Trace) -> None:
         self.program = program
         self.mem = SharedMemory(program)
         self.n_threads = n_threads
         self.strategy = strategy
-        self.bank = ClockBank()
-        self.trace = Trace(clock_bank=self.bank, n_threads=n_threads)
-        self.master_vc = EpochClock(self.bank)
+        self.trace = trace
+        self.master_vc = EpochClock(trace.clock_bank)
         self.master_vc.tick("master")
         self.seq = itertools.count()
         self.region_counter = itertools.count()
 
-    # Serial driver: drains a generator, applying memory actions directly
-    # (no events — serial code cannot race).
-    def _drain(self, gen) -> None:
+    # Serial driver: drains a generator, performing memory actions
+    # directly (no events — serial code cannot race) and treating the
+    # master as the team of one.
+    def _drain(self, gen):
         send = None
         while True:
             try:
                 action = gen.send(send)
-            except StopIteration:
-                return
+            except StopIteration as stop:
+                return stop.value
             kind = action[0]
-            mem = self.mem
-            if kind == "read_sca":
-                send = mem.read_scalar(action[1])
-            elif kind == "write_sca":
-                mem.write_scalar(action[1], float(action[2]))
-                send = None
-            elif kind == "read_arr":
-                send = mem.read_array(action[1], action[2])
-            elif kind == "write_arr":
-                mem.write_array(action[1], action[2], float(action[3]))
-                send = None
-            elif kind in ("atomic_rmw_sca", "atomic_rmw_arr", "atomic_write_sca", "atomic_write_arr"):
-                # Serial atomics reduce to plain ops.
-                if kind == "atomic_rmw_sca":
-                    _, name, op, rhs = action
-                    mem.write_scalar(name, float(_arith(op, mem.read_scalar(name), rhs)))
-                elif kind == "atomic_write_sca":
-                    mem.write_scalar(action[1], float(action[2]))
-                elif kind == "atomic_rmw_arr":
-                    _, name, idx, op, rhs = action
-                    mem.write_array(name, idx, float(_arith(op, mem.read_array(name, idx), rhs)))
-                else:
-                    mem.write_array(action[1], action[2], float(action[3]))
-                send = None
-            elif kind in ("acquire", "release", "barrier", "am_master", "single"):
-                send = True if kind in ("am_master", "single") else None
+            if kind in ("read", "write", "atomic"):
+                send = _access(self.mem, action)
             else:
-                raise ExecutionError(f"unknown serial action {kind!r}")
+                send = True if kind in ("am_master", "single") else None
+
+    def _eval_serial(self, expr) -> int:
+        return _as_index(self._drain(_eval(expr, {})))
 
     # -- spawning ------------------------------------------------------------
 
-    def _make_env(self, pragma: Pragma, tid, loop_var: str | None) -> tuple[_Env, dict]:
-        """Build the thread-private environment and reduction accumulators."""
-        env = _Env({})
-        reductions = pragma.reductions if pragma else {}
-        for v in (pragma.private_vars if pragma else set()):
+    def _make_env(self, pragma: Pragma, loop_vars: list[str]) -> dict:
+        """The thread-private environment, reduction accumulators included."""
+        env: dict = {}
+        for v in pragma.private_vars:
             if v in set(pragma.clause_args("firstprivate")):
-                env.locals[v] = self.mem.read_scalar(v)
+                env[v] = self.mem.load(("sca", v))
             else:
-                env.locals[v] = 0
-        for v, op in reductions.items():
+                env[v] = 0
+        for v, op in pragma.reductions.items():
             if op not in _REDUCTION_INIT:
                 raise ExecutionError(f"unsupported reduction operator {op!r}")
-            env.locals[v] = _REDUCTION_INIT[op]
-        if loop_var is not None:
-            env.locals[loop_var] = 0  # loop variable is always private
-        return env, reductions
+            env[v] = _REDUCTION_INIT[op]
+        for v in loop_vars:
+            env[v] = 0  # loop variables are always private
+        return env
 
-    def _run_team(self, thread_specs: list[tuple[object, object, bool]], region: int) -> list[_Thread]:
-        """thread_specs: (tid, generator, lane_flag)."""
+    def _run_team(self, pragma: Pragma, tids: list, body, loop_vars: list[str], lane: bool = False) -> None:
+        """Run one thread per ``tids`` entry to completion, the ``k``-th
+        executing the generator ``body(k, env)``; then join the team's
+        clocks into the master and commit its reductions."""
+        region = next(self.region_counter)
+        envs = []
         threads = []
-        for tid, gen, lane in thread_specs:
+        for k, tid in enumerate(tids):
+            env = self._make_env(pragma, loop_vars)
+            envs.append(env)
             vc = self.master_vc.copy()
             vc.tick(tid)
-            threads.append(_Thread(tid, gen, vc, is_master=(tid == 0), lane=lane))
-        sched = _Scheduler(self.mem, self.trace, self.strategy, region, self.seq)
-        sched.run(threads)
+            threads.append(_Thread(tid, body(k, env), vc, is_master=(tid == 0), lane=lane))
+        _Scheduler(self.mem, self.trace, self.strategy, region, self.seq).run(threads)
         for t in threads:
             self.master_vc.join(t.vc.values)
         self.master_vc.tick("master")
-        return threads
-
-    def _commit_reductions(
-        self, envs: list[_Env], reductions: dict[str, str]
-    ) -> None:
-        for name, op in reductions.items():
-            acc = self.mem.read_scalar(name)
+        for name, op in pragma.reductions.items():
+            loc = ("sca", name)
+            acc = self.mem.load(loc)
             for env in envs:
-                acc = float(_arith(op, acc, env.locals[name]))
-            self.mem.write_scalar(name, acc)
+                acc = float(_arith(op, acc, env[name]))
+            self.mem.store(loc, acc)
 
     # -- construct execution ------------------------------------------------------
 
-    def _collapse_space(self, loop: Loop) -> tuple[list, list[str], "Seq"]:
-        """Flatten a ``collapse(2)`` nest into (index tuples, vars, body)."""
-        from repro.openmp.ast_nodes import Seq as _Seq
+    def _iterations(self, loop: Loop) -> range:
+        """The loop's iteration range, its bounds evaluated serially."""
+        lo = self._eval_serial(loop.lo)
+        hi = self._eval_serial(loop.hi)
+        return range(lo, hi + 1 if loop.inclusive else hi, loop.step)
 
+    def _collapse_space(self, loop: Loop) -> tuple[list, list[str], Seq]:
+        """Flatten a ``collapse(2)`` nest into (index tuples, vars, body)."""
         inner_stmts = [s for s in loop.body]
         if len(inner_stmts) != 1 or not isinstance(inner_stmts[0], Loop):
             raise ExecutionError("collapse(2) requires a perfectly nested inner loop")
         inner = inner_stmts[0]
         if inner.pragma is not None:
             raise ExecutionError("collapse over a directive-bearing inner loop")
-        lo1 = self._eval_serial(loop.lo)
-        hi1 = self._eval_serial(loop.hi)
-        stop1 = hi1 + 1 if loop.inclusive else hi1
-        lo2 = self._eval_serial(inner.lo)
-        hi2 = self._eval_serial(inner.hi)
-        stop2 = hi2 + 1 if inner.inclusive else hi2
-        space = [
-            (i, j)
-            for i in range(lo1, stop1, loop.step)
-            for j in range(lo2, stop2, inner.step)
-        ]
+        outer_range, inner_range = self._iterations(loop), self._iterations(inner)
+        space = [(i, j) for i in outer_range for j in inner_range]
         return space, [loop.var, inner.var], inner.body
 
     def run_parallel_loop(self, loop: Loop) -> None:
         pragma = loop.pragma
         assert pragma is not None
-        region = next(self.region_counter)
-        self.trace.regions = region + 1
-
         if pragma.kind == "simd":
-            lo = self._eval_serial(loop.lo)
-            hi = self._eval_serial(loop.hi)
-            stop = hi + 1 if loop.inclusive else hi
-            self._run_simd(loop, lo, stop, region)
+            self._run_simd(loop)
             return
 
         collapse_args = pragma.clause_args("collapse")
@@ -663,134 +568,58 @@ class _MasterContext:
                 raise ExecutionError("only collapse(2) is supported")
             space, loop_vars, body = self._collapse_space(loop)
         else:
-            lo = self._eval_serial(loop.lo)
-            hi = self._eval_serial(loop.hi)
-            stop = hi + 1 if loop.inclusive else hi
-            space = [(i,) for i in range(lo, stop, loop.step)]
+            space = [(i,) for i in self._iterations(loop)]
             loop_vars, body = [loop.var], loop.body
 
         n = pragma.num_threads or self.n_threads
-        device = pragma.is_target
         sched_args = pragma.clause_args("schedule")
-        dynamic = bool(sched_args) and sched_args[0] == "dynamic"
-        dyn_chunk = int(sched_args[1]) if dynamic and len(sched_args) > 1 else 1
-
-        specs = []
-        envs = []
-        reductions: dict[str, str] = {}
-
-        def assign(env: _Env, point) -> None:
-            for var, value in zip(loop_vars, point):
-                env.locals[var] = value
-
-        if dynamic:
-            # Work queue: threads pull chunks as they go.  Pops happen
-            # between yields, so they are atomic under the cooperative
-            # scheduler — exactly the runtime's internal synchronisation,
-            # which (like reductions) produces no user-visible events.
-            queue: list = list(space)
-
-            def worker_dyn(env: _Env):
-                def gen():
-                    while queue:
-                        grabbed = queue[:dyn_chunk]
-                        del queue[:dyn_chunk]
-                        for point in grabbed:
-                            assign(env, point)
-                            yield from _exec(body, env)
-                return gen()
-
-            for k in range(n):
-                env, reductions = self._make_env(pragma, k, None)
-                for var in loop_vars:
-                    env.locals[var] = 0
-                envs.append(env)
-                tid = ("dev", k) if device else k
-                specs.append((tid, worker_dyn(env), False))
+        if sched_args and sched_args[0] == "dynamic":
+            # One shared work queue: threads pull chunks as they go.
+            # Grabs happen between yields, so they are atomic under the
+            # cooperative scheduler — exactly the runtime's internal
+            # synchronisation, which (like reductions) produces no
+            # user-visible events.
+            queues = [list(space)] * n
+            grab = int(sched_args[1]) if len(sched_args) > 1 else 1
         else:
-            chunk_size = (len(space) + n - 1) // n if space else 0
-            chunks = [
-                space[k * chunk_size : (k + 1) * chunk_size] if space else []
-                for k in range(n)
-            ]
+            # Static: thread k owns the k-th contiguous block and takes
+            # it in one grab.
+            grab = (len(space) + n - 1) // n
+            queues = [space[k * grab : (k + 1) * grab] for k in range(n)]
 
-            def worker_static(chunk: list, env: _Env):
-                def gen():
-                    for point in chunk:
-                        assign(env, point)
-                        yield from _exec(body, env)
-                return gen()
+        def worker(k: int, env: dict):
+            queue = queues[k]
+            while queue:
+                grabbed = queue[:grab]
+                del queue[:grab]
+                for point in grabbed:
+                    env.update(zip(loop_vars, point))
+                    yield from _exec(body, env)
 
-            for k in range(n):
-                env, reductions = self._make_env(pragma, k, None)
-                for var in loop_vars:
-                    env.locals[var] = 0
-                envs.append(env)
-                tid = ("dev", k) if device else k
-                specs.append((tid, worker_static(chunks[k], env), False))
+        tids = [("dev", k) if pragma.is_target else k for k in range(n)]
+        self._run_team(pragma, tids, worker, loop_vars)
 
-        self._run_team(specs, region)
-        self._commit_reductions(envs, reductions)
-
-    def _run_simd(self, loop: Loop, lo: int, stop: int, region: int) -> None:
-        pragma = loop.pragma
-        safelen_args = pragma.clause_args("safelen")
+    def _run_simd(self, loop: Loop) -> None:
+        iters = self._iterations(loop)
+        safelen_args = loop.pragma.clause_args("safelen")
         vl = int(safelen_args[0]) if safelen_args else 4
-        iters = list(range(lo, stop, loop.step))
         n_chunks = (len(iters) + vl - 1) // vl
-        envs = []
-        specs = []
-        reductions: dict[str, str] = {}
 
-        def lane_worker(lane: int, env: _Env):
-            def gen():
-                for c in range(n_chunks):
-                    pos = c * vl + lane
-                    if pos < len(iters):
-                        env.locals[loop.var] = iters[pos]
-                        yield from _exec(loop.body, env)
-                    yield ("barrier",)  # end of the vector step
-            return gen()
+        def lane_worker(lane: int, env: dict):
+            for c in range(n_chunks):
+                pos = c * vl + lane
+                if pos < len(iters):
+                    env[loop.var] = iters[pos]
+                    yield from _exec(loop.body, env)
+                yield ("barrier",)  # end of the vector step
 
-        for lane in range(vl):
-            env, reductions = self._make_env(pragma, lane, loop.var)
-            envs.append(env)
-            specs.append((("lane", lane), lane_worker(lane, env), True))
-        self._run_team(specs, region)
-        self._commit_reductions(envs, reductions)
+        tids = [("lane", lane) for lane in range(vl)]
+        self._run_team(loop.pragma, tids, lane_worker, [loop.var], lane=True)
 
     def run_parallel_region(self, node: ParallelRegion) -> None:
-        pragma = node.pragma
-        region = next(self.region_counter)
-        self.trace.regions = region + 1
-        n = (pragma.num_threads if pragma else None) or self.n_threads
-        specs = []
-        envs = []
-        reductions: dict[str, str] = {}
-
-        def worker(env: _Env):
-            def gen():
-                yield from _exec(node.body, env)
-            return gen()
-
-        for k in range(n):
-            env, reductions = self._make_env(pragma or Pragma("parallel"), k, None)
-            envs.append(env)
-            specs.append((k, worker(env), False))
-        self._run_team(specs, region)
-        self._commit_reductions(envs, reductions)
-
-    # -- serial helpers ----------------------------------------------------------
-
-    def _eval_serial(self, expr) -> int:
-        box: list = []
-
-        def gen():
-            value = yield from _eval(expr, _Env({}))
-            box.append(value)
-
-        self._drain(gen())
-        return _as_index(box[0])
+        pragma = node.pragma or Pragma("parallel")
+        n = pragma.num_threads or self.n_threads
+        self._run_team(pragma, list(range(n)), lambda k, env: _exec(node.body, env), [])
 
     def run(self) -> Trace:
         for stmt in self.program.body:
@@ -803,7 +632,7 @@ class _MasterContext:
             elif isinstance(stmt, ParallelRegion):
                 self.run_parallel_region(stmt)
             else:
-                self._drain(_exec(stmt, _Env({})))
+                self._drain(_exec(stmt, {}))
         self.trace.final_arrays = self.mem.snapshot()
         return self.trace
 
@@ -822,8 +651,10 @@ def execute(
     if n_threads < 1:
         raise ValueError("need at least one thread")
     rng = np.random.Generator(np.random.PCG64(schedule_seed))
-    ctx = _MasterContext(program, n_threads, make_strategy(strategy, rng))
-    trace = ctx.run()
-    trace.schedule_seed = schedule_seed
-    trace.schedule_strategy = strategy
-    return trace
+    trace = Trace(
+        clock_bank=ClockBank(),
+        schedule_seed=schedule_seed,
+        schedule_strategy=strategy,
+        n_threads=n_threads,
+    )
+    return _Execution(program, n_threads, make_strategy(strategy, rng), trace).run()

@@ -51,20 +51,26 @@ class SharedMemory:
             )
         return index
 
-    def read_array(self, name: str, index: int) -> float:
-        return float(self.arrays[name][self.check_index(name, index)])
+    # -- access by trace location ------------------------------------------
 
-    def write_array(self, name: str, index: int, value: float) -> None:
-        self.arrays[name][self.check_index(name, index)] = value
-
-    # -- scalar access ----------------------------------------------------------
-
-    def read_scalar(self, name: str) -> float:
+    def load(self, loc: tuple) -> float:
+        """Value at ``loc``: ``("sca", name)`` or ``("arr", name, index)``."""
+        if loc[0] == "arr":
+            _, name, index = loc
+            return float(self.arrays[name][self.check_index(name, index)])
+        name = loc[1]
         if name not in self.scalars:
             raise KeyError(f"undeclared scalar {name!r}")
         return self.scalars[name]
 
-    def write_scalar(self, name: str, value: float) -> None:
+    def store(self, loc: tuple, value) -> None:
+        """Write ``float(value)`` to ``loc``."""
+        value = float(value)
+        if loc[0] == "arr":
+            _, name, index = loc
+            self.arrays[name][self.check_index(name, index)] = value
+            return
+        name = loc[1]
         if name not in self.scalars:
             raise KeyError(f"undeclared scalar {name!r}")
         self.scalars[name] = value

@@ -32,14 +32,9 @@ import numpy as np
 
 def _pending_access(action) -> tuple | None:
     """(location, is_write) the action is about to perform, else None."""
-    if action is None:
+    if action is None or action[0] not in ("read", "write", "atomic"):
         return None
-    kind = action[0]
-    if kind in ("read_sca", "write_sca", "atomic_rmw_sca", "atomic_write_sca"):
-        return ("sca", action[1]), kind != "read_sca"
-    if kind in ("read_arr", "write_arr", "atomic_rmw_arr", "atomic_write_arr"):
-        return ("arr", action[1], action[2]), kind != "read_arr"
-    return None
+    return action[1], action[0] != "read"
 
 
 class ScheduleStrategy:

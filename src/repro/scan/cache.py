@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 #: Bump when the cached payload layout changes.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def kernel_key(source: str, language: str, fingerprint: str) -> str:

@@ -30,12 +30,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.datagen.prompts import race_instruction
-from repro.detectors.base import Verdict
 from repro.detectors.registry import build_tool_detectors
 from repro.runtime import Machine, MachineConfig
 from repro.scan.cache import VerdictCache, kernel_key, pipeline_fingerprint
 from repro.scan.extractor import ExtractedKernel, extract_kernels
-from repro.scan.report import KernelResult, ScanReport
+from repro.scan.report import ERROR, UNSUPPORTED, KernelResult, ScanReport
 from repro.scan.walker import DEFAULT_MAX_BYTES, walk_tree
 from repro.utils.languages import normalize_language
 
@@ -195,6 +194,7 @@ class ScanPipeline:
             "cache_hits": sum(len(owners[key]) for key in cached_keys),
             "races": len(report.racy()),
             "disagreements": len(report.disagreements()),
+            "errors": sum(1 for k in results if k.errors),
         }
         report.timing = {
             "walk_s": round(t_walk - t0, 4),
@@ -221,7 +221,7 @@ class ScanPipeline:
         if not items:
             return {}
         machine = Machine(self._machine_config)
-        tool_verdicts = [self._tool_verdicts(machine, kernel) for _, kernel in items]
+        tool_results = [self._tool_verdicts(machine, kernel) for _, kernel in items]
 
         llm_verdicts: list[str | None] = [None] * len(items)
         llm_margins: list[float | None] = [None] * len(items)
@@ -242,34 +242,41 @@ class ScanPipeline:
         payloads: dict[str, dict] = {}
         for i, (key, kernel) in enumerate(items):
             payloads[key] = {
-                "verdicts": tool_verdicts[i],
+                "verdicts": tool_results[i][0],
+                "errors": tool_results[i][1],
                 "llm_verdict": llm_verdicts[i],
                 "llm_margin": llm_margins[i],
                 "parse_ok": kernel.parse_ok,
             }
         return payloads
 
-    def _tool_verdicts(self, machine: Machine, kernel: ExtractedKernel) -> dict[str, str]:
-        """Every tool's verdict on one kernel.  Its schedules execute
-        once and the dynamic tools share the traces, which are dropped
-        when this returns."""
+    def _tool_verdicts(
+        self, machine: Machine, kernel: ExtractedKernel
+    ) -> tuple[dict[str, str], dict[str, str]]:
+        """Every tool's verdict on one kernel, plus ``"<ExcType>:
+        <message>"`` for each tool that crashed on it (its verdict is
+        ``error``).  The schedules execute once and the dynamic tools
+        share the traces, which are dropped when this returns; a runtime
+        crash is an error of every dynamic tool that supports the kernel."""
         if not kernel.parse_ok:
-            return {d.name: Verdict.UNSUPPORTED.value for d in self.detectors}
+            return {d.name: UNSUPPORTED for d in self.detectors}, {}
         spec = kernel.to_spec()
+        traces, runtime_error = None, None
         try:
             traces = machine.traces(spec.parse())
-        except Exception:  # noqa: BLE001 - a kernel the runtime rejects
-            traces = None
+        except Exception as exc:  # noqa: BLE001 - reported per dynamic tool
+            runtime_error = exc
         verdicts: dict[str, str] = {}
+        errors: dict[str, str] = {}
         for det in self.detectors:
-            verdict = Verdict.UNSUPPORTED
-            if det.kind != "dynamic" or traces is not None:
-                try:
-                    verdict = det.run(spec, traces).verdict
-                except Exception:  # noqa: BLE001 - one kernel must not kill the scan
-                    pass
-            verdicts[det.name] = verdict.value
-        return verdicts
+            try:
+                if det.kind == "dynamic" and runtime_error is not None and det.supports(spec):
+                    raise runtime_error
+                verdicts[det.name] = det.run(spec, traces).verdict.value
+            except Exception as exc:  # noqa: BLE001 - one kernel must not kill the scan
+                verdicts[det.name] = ERROR
+                errors[det.name] = f"{type(exc).__name__}: {exc}"
+        return verdicts, errors
 
     def _result(self, kernel: ExtractedKernel, payload: dict, cached: bool) -> KernelResult:
         return KernelResult(
@@ -281,6 +288,7 @@ class ScanPipeline:
             parse_ok=kernel.parse_ok,
             cached=cached,
             verdicts=dict(payload.get("verdicts", {})),
+            errors=dict(payload.get("errors", {})),
             llm_verdict=payload.get("llm_verdict"),
             llm_margin=payload.get("llm_margin"),
         )

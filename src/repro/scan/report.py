@@ -11,8 +11,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-#: Verdict vocabulary (matching :class:`repro.detectors.base.Verdict`).
-RACE, NO_RACE, UNSUPPORTED = "yes", "no", "unsupported"
+#: Verdict vocabulary (matching :class:`repro.detectors.base.Verdict`,
+#: plus ``error`` for a tool that crashed on the kernel).
+RACE, NO_RACE, UNSUPPORTED, ERROR = "yes", "no", "unsupported", "error"
 
 
 @dataclass
@@ -26,7 +27,8 @@ class KernelResult:
     end_line: int
     parse_ok: bool
     cached: bool
-    verdicts: dict[str, str] = field(default_factory=dict)  # detector -> yes/no/unsupported
+    verdicts: dict[str, str] = field(default_factory=dict)  # detector -> yes/no/unsupported/error
+    errors: dict[str, str] = field(default_factory=dict)  # detector -> "<ExcType>: <message>"
     llm_verdict: str | None = None
     llm_margin: float | None = None
 
@@ -63,7 +65,7 @@ class KernelResult:
             "id": self.id, "file": self.file, "language": self.language,
             "start_line": self.start_line, "end_line": self.end_line,
             "parse_ok": self.parse_ok, "cached": self.cached,
-            "verdicts": dict(self.verdicts),
+            "verdicts": dict(self.verdicts), "errors": dict(self.errors),
             "llm_verdict": self.llm_verdict, "llm_margin": self.llm_margin,
             "ensemble_verdict": self.ensemble_verdict,
             "agreement": round(self.agreement, 4),
@@ -116,7 +118,8 @@ class ScanReport:
             f"({t.get('unique_kernels', 0)} unique, "
             f"{t.get('cache_hits', 0)} served from cache)",
             f"races flagged: {t.get('races', 0)}   "
-            f"disagreements: {t.get('disagreements', 0)}",
+            f"disagreements: {t.get('disagreements', 0)}   "
+            f"errors: {t.get('errors', 0)}",
             f"wall time: {self.timing.get('total_s', 0.0):.2f}s "
             f"({self.timing.get('kernels_per_s', 0.0):.1f} kernels/s)",
         ]

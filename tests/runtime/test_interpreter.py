@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.openmp import parse_c, parse_fortran
-from repro.runtime import ExecutionError, Machine, MachineConfig, execute
+from repro.runtime import SCHEDULE_STRATEGIES, ExecutionError, Machine, MachineConfig, execute
 from repro.runtime.machine import hb_races
 
 
@@ -171,23 +171,20 @@ for (i = 0; i < 16; i++) {
         assert not hb_races(trace)
 
     def test_atomic_value_correct(self):
-        src = """
-int i;
-double s, x[16];
-#pragma omp parallel for
-for (i = 0; i < 16; i++) {
-  #pragma omp atomic
-  s += 1;
-}
-"""
-        prog = parse_c(src)
-        from repro.runtime import SharedMemory  # noqa: F401
-        from repro.runtime.interpreter import _MasterContext  # type: ignore
+        def src(atomic):
+            update = "  #pragma omp atomic\n" if atomic else ""
+            return (
+                "int i;\ndouble x[4];\n#pragma omp parallel for\n"
+                "for (i = 0; i < 16; i++) {\n" + update + "  x[0] += 1;\n}\n"
+            )
 
-        trace = execute(prog, n_threads=4, schedule_seed=3)
-        # The final scalar value is not in the snapshot; re-run via memory:
-        ctx_trace = run_c(src, threads=4, seed=7)
-        assert ctx_trace is not None  # smoke: atomic path executes
+        # x[0] starts at 1.0; 16 indivisible increments land every time.
+        for strategy in sorted(SCHEDULE_STRATEGIES):
+            trace = execute(parse_c(src(True)), n_threads=4, schedule_seed=0, strategy=strategy)
+            assert trace.final_arrays["x"][0] == 17.0, strategy
+        # Without atomic the read-modify-write interleaves and loses updates.
+        trace = execute(parse_c(src(False)), n_threads=4, schedule_seed=0)
+        assert trace.final_arrays["x"][0] < 17.0
 
     def test_barrier_orders_phases(self):
         src = """

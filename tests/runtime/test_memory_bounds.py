@@ -23,18 +23,18 @@ def f_mem():
 
 class TestCBounds:
     def test_first_and_last_valid(self, c_mem):
-        c_mem.write_array("a", 0, 1.0)
-        c_mem.write_array("a", 7, 2.0)
-        assert c_mem.read_array("a", 0) == 1.0
-        assert c_mem.read_array("a", 7) == 2.0
+        c_mem.store(("arr", "a", 0), 1.0)
+        c_mem.store(("arr", "a", 7), 2.0)
+        assert c_mem.load(("arr", "a", 0)) == 1.0
+        assert c_mem.load(("arr", "a", 7)) == 2.0
 
     def test_size_rejected(self, c_mem):
         with pytest.raises(IndexError):
-            c_mem.read_array("a", 8)
+            c_mem.load(("arr", "a", 8))
 
     def test_negative_rejected(self, c_mem):
         with pytest.raises(IndexError):
-            c_mem.read_array("a", -1)
+            c_mem.load(("arr", "a", -1))
 
 
 class TestFortranBounds:
@@ -42,25 +42,25 @@ class TestFortranBounds:
         # Index 0 exists in the buffer (the padding slot) but is not a
         # legal Fortran subscript; it must raise, not silently alias.
         with pytest.raises(IndexError):
-            f_mem.read_array("a", 0)
+            f_mem.load(("arr", "a", 0))
         with pytest.raises(IndexError):
-            f_mem.write_array("a", 0, 9.0)
+            f_mem.store(("arr", "a", 0), 9.0)
 
     def test_first_and_last_valid(self, f_mem):
-        f_mem.write_array("a", 1, 1.0)
-        f_mem.write_array("a", 8, 2.0)
-        assert f_mem.read_array("a", 1) == 1.0
-        assert f_mem.read_array("a", 8) == 2.0
+        f_mem.store(("arr", "a", 1), 1.0)
+        f_mem.store(("arr", "a", 8), 2.0)
+        assert f_mem.load(("arr", "a", 1)) == 1.0
+        assert f_mem.load(("arr", "a", 8)) == 2.0
 
     def test_size_plus_one_rejected(self, f_mem):
         with pytest.raises(IndexError):
-            f_mem.read_array("a", 9)
+            f_mem.load(("arr", "a", 9))
 
     def test_error_message_reports_window(self, f_mem):
         with pytest.raises(IndexError, match=r"\[1, 8\]"):
-            f_mem.read_array("a", 0)
+            f_mem.load(("arr", "a", 0))
 
 
 def test_undeclared_array_rejected(c_mem):
     with pytest.raises(KeyError):
-        c_mem.read_array("nope", 0)
+        c_mem.load(("arr", "nope", 0))

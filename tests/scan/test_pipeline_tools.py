@@ -110,6 +110,25 @@ class TestToolsOnlyScan:
         assert set(weird.verdicts.values()) == {"unsupported"}
         assert weird.ensemble_verdict == "unsupported"
 
+    def test_crashing_kernel_is_an_error_with_reason(self, tree, tmp_path):
+        (tree / "oob.c").write_text(
+            "int i;\n"
+            "double a[8];\n"
+            "#pragma omp parallel for\n"
+            "for (i = 0; i < 8; i++) { a[i + 1] = a[i] + 1; }\n"
+        )
+        for _ in range(2):  # fresh, then from the cache
+            report = pipeline(tmp_path).scan(tree)
+            oob = next(k for k in report.kernels if k.file == "oob.c")
+            dynamic = {"Intel Inspector", "ROMP", "Thread Sanitizer"}
+            assert {d for d, v in oob.verdicts.items() if v == "error"} == dynamic
+            reason = "IndexError: array 'a' index 8 out of bounds [0, 7]"
+            assert oob.errors == {d: reason for d in dynamic}
+            assert oob.to_dict()["errors"] == oob.errors
+            assert report.totals["errors"] == 1
+            assert "errors: 1" in report.summary()
+        assert report.totals["cache_hits"] == report.totals["kernels"]
+
 
 class TestReportEmitters:
     def test_json_roundtrip(self, tree, tmp_path):

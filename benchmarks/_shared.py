@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro.core import HPCGPTSystem, PAPER_PRESET, SMALL_PRESET
 from repro.drb import DRBSuite
-from repro.eval import EvaluationHarness, HarnessConfig
+from repro.eval import EvaluationHarness
 from repro.eval.metrics import MetricRow
 
 OUT_DIR = Path(__file__).parent / "out"
@@ -58,9 +58,9 @@ def eval_suite() -> DRBSuite:
 def harness() -> EvaluationHarness:
     global _HARNESS
     if _HARNESS is None:
-        # Default HarnessConfig: 4 explored schedules, so schedule-dependent
+        # The harness default explores 4 schedules, so schedule-dependent
         # tool behaviour (Inspector's lockset FPs) can manifest.
-        _HARNESS = EvaluationHarness(eval_suite(), HarnessConfig(n_threads=2))
+        _HARNESS = EvaluationHarness(eval_suite())
     return _HARNESS
 
 

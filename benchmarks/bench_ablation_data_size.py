@@ -11,10 +11,10 @@ import dataclasses
 import numpy as np
 
 from repro.core import HPCGPTSystem, SMALL_PRESET
-from repro.datagen.prompts import race_instruction
-from repro.detectors.llm_detector import yes_no_margin
+from repro.detectors.llm_detector import race_margins
 from repro.drb import DRBSuite
 from repro.finetune import SFTTrainer
+from repro.llm import InferenceEngine
 
 from benchmarks._shared import write_out
 
@@ -50,14 +50,11 @@ def test_data_size_ablation(benchmark):
         sub = _subset(records, fraction, np.random.default_rng(11))
         model = base.copy()
         SFTTrainer(model, tok, cfg.sft).train(sub)
-        task2 = [r for r in sub if r.task == "datarace"]
-        yes_m = [yes_no_margin(model, tok, r.instruction) for r in task2 if r.output == "yes"][:40]
-        no_m = [yes_no_margin(model, tok, r.instruction) for r in task2 if r.output == "no"][:40]
-        thr = (np.median(yes_m) + np.median(no_m)) / 2 if yes_m and no_m else 0.0
-        ok = 0
-        for s in specs:
-            m = yes_no_margin(model, tok, race_instruction(s.source, s.language))
-            ok += (m >= thr) == (s.label == "yes")
+        thr = sys_._calibrate(model, sub, max_examples=80)
+        margins = race_margins(
+            InferenceEngine(model, tok), [(s.source, s.language) for s in specs]
+        )
+        ok = sum((m >= thr) == (s.label == "yes") for m, s in zip(margins, specs))
         return len(sub), ok / len(specs)
 
     results = benchmark.pedantic(

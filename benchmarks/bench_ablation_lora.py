@@ -15,9 +15,10 @@ import dataclasses
 import numpy as np
 
 from repro.core import HPCGPTSystem, SMALL_PRESET
-from repro.detectors.llm_detector import yes_no_margin
+from repro.detectors.llm_detector import race_margins
 from repro.drb import DRBSuite
-from repro.finetune import SFTConfig, SFTTrainer
+from repro.finetune import SFTTrainer
+from repro.llm import InferenceEngine
 from repro.nn import LoRAConfig
 
 from benchmarks._shared import write_out
@@ -35,19 +36,14 @@ def _eval_specs(n=70):
     return list(rng.permutation(np.array(pool, dtype=object)))[:n]
 
 
-def _accuracy(model, tok, specs, records):
-    from repro.datagen.prompts import race_instruction
-
-    # Calibrate threshold on training data, as the system does.
-    yes_m = [yes_no_margin(model, tok, r.instruction)
-             for r in records if r.task == "datarace" and r.output == "yes"][:40]
-    no_m = [yes_no_margin(model, tok, r.instruction)
-            for r in records if r.task == "datarace" and r.output == "no"][:40]
-    thr = (np.median(yes_m) + np.median(no_m)) / 2 if yes_m and no_m else 0.0
-    ok = 0
-    for s in specs:
-        m = yes_no_margin(model, tok, race_instruction(s.source, s.language))
-        ok += (m >= thr) == (s.label == "yes")
+def _accuracy(sys_, model, specs, records):
+    # Calibrate the threshold on training data (40 + 40 examples), as the
+    # system does.
+    thr = sys_._calibrate(model, records, max_examples=80)
+    margins = race_margins(
+        InferenceEngine(model, sys_.tokenizer), [(s.source, s.language) for s in specs]
+    )
+    ok = sum((m >= thr) == (s.label == "yes") for m, s in zip(margins, specs))
     return ok / len(specs)
 
 
@@ -69,7 +65,7 @@ def test_lora_rank_ablation(benchmark):
         from repro.nn import merge_lora
 
         merge_lora(model)
-        return _accuracy(model, tok, specs, records), trainable
+        return _accuracy(sys_, model, specs, records), trainable
 
     results = benchmark.pedantic(
         lambda: {r: run_rank(r) for r in RANKS}, rounds=1, iterations=1

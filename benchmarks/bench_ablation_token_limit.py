@@ -16,12 +16,11 @@ from benchmarks._shared import eval_suite, system, write_out
 
 def test_token_limit_ablation(benchmark):
     sys_ = system()
-    tok = sys_.tokenizer
-    model = sys_.finetuned("l2")
+    engine = sys_.engine("l2")
     threshold = sys_.threshold("l2")
     specs = eval_suite().by_language("C/C++")
 
-    det = HPCGPTDetector("HPC-GPT (L2)", model, tok, threshold)
+    det = HPCGPTDetector("HPC-GPT (L2)", engine, threshold)
     counts = {s.id: det.prompt_tokens(s) for s in specs}
 
     # Data-driven sweep brackets: below the median normal prompt, the
@@ -41,7 +40,7 @@ def test_token_limit_ablation(benchmark):
 
     # Chunking mitigation on the oversize files only (cheap enough to run
     # outside the benchmark loop).
-    chunked = ChunkedHPCGPTDetector("HPC-GPT (L2, chunked)", model, tok, threshold)
+    chunked = ChunkedHPCGPTDetector("HPC-GPT (L2, chunked)", engine, threshold)
     oversize = [s for s in specs if "oversize" in s.features]
     chunk_ok = sum(
         (chunked.run(s).verdict is Verdict.RACE) == (s.label == "yes") for s in oversize

@@ -8,8 +8,8 @@ race prompts:
   work, so micro-batching 16 rows amortises nearly all of it;
 * **margin scoring** (``logit(" yes") - logit(" no")``): margins/sec for
   the pre-engine *sequential path* (one full forward per prompt, all
-  positions through the LM head — what ``yes_no_margin`` did before the
-  engine existed), vs the engine at batch 1 and batch 16.
+  positions through the LM head — what per-prompt margin scoring did
+  before the engine existed), vs the engine at batch 1 and batch 16.
 
 Margin prefill at these prompt lengths is bandwidth-bound single-core
 compute, so its batched ceiling is architectural: the sequential path

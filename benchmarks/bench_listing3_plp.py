@@ -18,7 +18,7 @@ def test_listing3_plp(benchmark):
     methods = system().task1_methods()
 
     def ask_all():
-        return {name: fn(QUESTION) for name, fn in methods.items()}
+        return {name: fn([QUESTION])[0] for name, fn in methods.items()}
 
     answers = benchmark.pedantic(ask_all, rounds=1, iterations=1)
 

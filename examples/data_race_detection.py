@@ -14,7 +14,8 @@ import argparse
 from repro.core import HPCGPTSystem, SMALL_PRESET
 from repro.datagen.pipeline import ALL_DRB_CATEGORIES
 from repro.drb import DRBSuite
-from repro.eval import EvaluationHarness, HarnessConfig
+from repro.eval import EvaluationHarness
+from repro.runtime import MachineConfig
 
 
 def main() -> None:
@@ -34,7 +35,7 @@ def main() -> None:
             if s.language == args.language and s.category == cat
             and "oversize" not in s.features
         ))
-    harness = EvaluationHarness(DRBSuite(picks), HarnessConfig(n_schedules=2))
+    harness = EvaluationHarness(DRBSuite(picks), MachineConfig(n_schedules=2))
 
     width = max(len(c) for c in ALL_DRB_CATEGORIES) + 2
     header = f"{'category':<{width}} truth " + " ".join(f"{d.name[:9]:>9}" for d in detectors)

@@ -29,7 +29,7 @@ def main() -> None:
         print(f"\n== {title} ==")
         print("Question:", q)
         for name, fn in methods.items():
-            print(f"  {name:<14}: {fn(q)}")
+            print(f"  {name:<14}: {fn([q])[0]}")
 
     print("\n== Quantitative QA comparison ==")
     catalog = build_plp_catalog(system.config.plp_entries_per_category, seed=system.config.seed)

@@ -276,15 +276,16 @@ def cmd_scan(args) -> int:
 
 def cmd_eval(args) -> int:
     """Run the Table-5 evaluation and print both language blocks."""
+    from repro.detectors import build_tool_detectors
     from repro.drb import DRBSuite
-    from repro.eval import EvaluationHarness, HarnessConfig, render_table5
+    from repro.eval import EvaluationHarness, render_table5
 
-    system = _make_system(args.preset)
-    detectors = system.table5_detectors()
     if args.tools_only:
-        detectors = [d for d in detectors if d.kind != "llm"]
+        detectors = build_tool_detectors()
+    else:
+        detectors = _make_system(args.preset).table5_detectors()
     suite = DRBSuite.evaluation(seed=args.seed)
-    out = EvaluationHarness(suite, HarnessConfig()).run(detectors)
+    out = EvaluationHarness(suite).run(detectors)
     for language in ("C/C++", "Fortran"):
         print(render_table5(out.rows, language))
         print()
@@ -310,11 +311,6 @@ def cmd_export(args) -> int:
     n = suite.write_tree(out_dir)
     print(f"wrote {n} kernels under {out_dir}")
     return 0
-
-
-def suite_write_sources(suite, out_dir: Path) -> int:
-    """Back-compat alias for :meth:`repro.drb.DRBSuite.write_tree`."""
-    return suite.write_tree(out_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:

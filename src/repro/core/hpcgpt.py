@@ -301,9 +301,13 @@ class HPCGPTSystem:
         self, codes: list[str], language: str = "C/C++", version: str = "l2"
     ) -> list[str]:
         """Batched Task-2 detection: all snippets score together."""
+        # Imported here: the detectors package loads the OpenMP runtime,
+        # which building, answering and serving never need.
+        from repro.detectors.llm_detector import race_margins
+
         engine = self.engine(version)
         threshold = self.threshold(version)
-        margins = engine.yes_no_margins([race_instruction(c, language) for c in codes])
+        margins = race_margins(engine, [(c, language) for c in codes])
         return ["yes" if m >= threshold else "no" for m in margins]
 
     # -- §5: updating HPC-GPT with latest data -----------------------------------------
@@ -547,25 +551,21 @@ class HPCGPTSystem:
         detectors = build_tool_detectors()
         detectors.append(GPTHeuristicDetector("GPT-3.5", "gpt-3.5", tok, seed=self.config.seed))
         detectors.append(GPTHeuristicDetector("GPT-4", "gpt-4", tok, seed=self.config.seed))
-        detectors.append(
-            LLMBaseModelDetector("LLaMa", self.registry.base_model("llama-13b-sim"), tok)
-        )
-        detectors.append(
-            LLMBaseModelDetector("LLaMa2", self.registry.base_model("llama2-13b-sim"), tok)
-        )
-        detectors.append(
-            HPCGPTDetector("HPC-GPT (L1)", self.finetuned("l1"), tok, self.threshold("l1"))
-        )
-        detectors.append(
-            HPCGPTDetector("HPC-GPT (L2)", self.finetuned("l2"), tok, self.threshold("l2"))
-        )
+        for name, base in (("LLaMa", "llama-13b-sim"), ("LLaMa2", "llama2-13b-sim")):
+            engine = InferenceEngine(self.registry.base_model(base), tok)
+            detectors.append(LLMBaseModelDetector(name, engine))
+        for version in ("l1", "l2"):
+            detectors.append(HPCGPTDetector(
+                f"HPC-GPT ({version.upper()})", self.engine(version), self.threshold(version)
+            ))
         return detectors
 
     # -- Task-1 answering methods for the QA comparison -------------------------------
 
     def task1_methods(self) -> dict:
-        """question -> answer callables for GPT-4 sim, HPC Ontology, and
-        HPC-GPT (L2), as in Listings 3-4."""
+        """Batch answering callables (``list[str] -> list[str | None]``)
+        for GPT-4 sim, HPC Ontology, and HPC-GPT (L2), as in Listings
+        3-4, plus the deployed retrieval-grounded configuration."""
 
         def gpt4_generic(question: str) -> str:
             # The paper's GPT-4 lacks the (post-cutoff) catalog facts and
@@ -579,18 +579,11 @@ class HPCGPTSystem:
 
         onto = self.ontology()
         rag = self.retrieval_answerer()
-
-        def hpcgpt_answer(q: str) -> str:
-            return self.answer(q, version="l2")
-
-        # Batched alternative picked up by Task1Evaluator.score: the
-        # whole QA set decodes through the engine in a few batches.
-        hpcgpt_answer.batch = lambda qs: self.answer_batch(list(qs), version="l2")
         return {
-            "GPT-4": gpt4_generic,
-            "HPC-Ontology": onto.answer,
-            "HPC-GPT (L2)": hpcgpt_answer,
+            "GPT-4": lambda qs: [gpt4_generic(q) for q in qs],
+            "HPC-Ontology": lambda qs: [onto.answer(q) for q in qs],
+            "HPC-GPT (L2)": self.answer_batch,
             # The deployed configuration (§5): the same model grounded in
             # the vector store — exact entities with full coverage.
-            "HPC-GPT (L2) + retrieval": rag.answer,
+            "HPC-GPT (L2) + retrieval": rag.answer_batch,
         }

@@ -34,7 +34,8 @@ class ToolResult:
 
 class Detector:
     """Base class.  Subclasses define :attr:`name`, :meth:`supports`, and
-    :meth:`detect`.
+    either :meth:`detect` (one program at a time) or :meth:`detect_many`
+    (batch-native: the LLM detectors).
 
     Dynamic detectors receive pre-computed traces from the harness (one
     Machine exploration shared across all dynamic tools); static and
@@ -60,21 +61,17 @@ class Detector:
     ) -> list[Verdict]:
         """Verdicts for a batch of (supported) programs.
 
-        The default loops :meth:`detect`; LLM detectors override this to
-        route the whole batch through the inference engine in a few
-        batched forwards.
+        The default loops :meth:`detect`; LLM detectors implement this
+        instead, routing the whole batch through the inference engine in
+        a few batched forwards.
         """
         traces_list = traces_list or [None] * len(specs)
         return [self.detect(spec, traces) for spec, traces in zip(specs, traces_list)]
 
     def run(self, spec: KernelSpec, traces: list[Trace] | None = None) -> ToolResult:
-        """Support check + detection, packaged."""
-        if not self.supports(spec):
-            return ToolResult(self.name, spec.id, Verdict.UNSUPPORTED)
-        verdict = self.detect(spec, traces)
-        if not isinstance(verdict, Verdict):
-            raise TypeError(f"{self.name}.detect returned {verdict!r}")
-        return ToolResult(self.name, spec.id, verdict)
+        """Support check + detection, packaged: :meth:`run_many` over
+        one program."""
+        return self.run_many([spec], [traces])[0]
 
     def run_many(
         self,

@@ -24,15 +24,10 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
-
 from repro.datagen.prompts import race_instruction
 from repro.detectors.base import Detector, Verdict
 from repro.drb.generator import KernelSpec
-from repro.llm.chat import ChatFormat
-from repro.llm.engine import InferenceEngine
-from repro.llm.generation import GenerationConfig
-from repro.llm.model import CausalLM
+from repro.llm.engine import GenerationConfig, InferenceEngine
 from repro.runtime.interpreter import Trace
 from repro.tokenizer import BPETokenizer
 from repro.utils.text import stable_hash
@@ -76,13 +71,14 @@ class _TokenBudgetMixin(Detector):
         return self.prompt_tokens(spec) <= TOKEN_BUDGET
 
 
-def yes_no_margin(model: CausalLM, tokenizer: BPETokenizer, instruction: str) -> float:
-    """Log-odds style margin: logit(" yes") - logit(" no") at the answer
-    position of the chat prompt (left-truncated to the model context).
-
-    Single-item wrapper over :meth:`InferenceEngine.yes_no_margins`.
-    """
-    return InferenceEngine(model, tokenizer).yes_no_margins([instruction])[0]
+def race_margins(engine: InferenceEngine, programs: list[tuple[str, str]]) -> list[float]:
+    """HPC-GPT's Task-2 score: the ``" yes"``/``" no"`` margin of the
+    Table-1 race prompt for each ``(source, language)`` program, in one
+    batched engine call.  A program is racy when its margin reaches the
+    threshold calibrated on the training split.  Every Task-2 consumer
+    (``detect_race_batch``, the HPC-GPT detectors, ``repro scan``) scores
+    through this function."""
+    return engine.yes_no_margins([race_instruction(src, lang) for src, lang in programs])
 
 
 class LLMBaseModelDetector(_TokenBudgetMixin):
@@ -92,20 +88,15 @@ class LLMBaseModelDetector(_TokenBudgetMixin):
     output is taken (defaulting to "yes" when neither appears, the
     yes-bias the paper's LLaMA rows show)."""
 
-    def __init__(self, name: str, model: CausalLM, tokenizer: BPETokenizer) -> None:
-        super().__init__(tokenizer)
+    def __init__(self, name: str, engine: InferenceEngine) -> None:
+        super().__init__(engine.tokenizer)
         self.name = name
-        self.model = model
-        self.chat = ChatFormat(tokenizer)
-        self.engine = InferenceEngine(model, tokenizer)
+        self.engine = engine
 
     def _prompt_ids(self, spec: KernelSpec) -> list[int]:
-        prompt_ids = self.chat.prompt_ids(race_prompt(spec))
-        limit = self.model.config.max_seq_len - 16
+        prompt_ids = self.engine.chat.prompt_ids(race_prompt(spec))
+        limit = self.engine.model.config.max_seq_len - 16
         return prompt_ids[-limit:] if len(prompt_ids) > limit else prompt_ids
-
-    def detect(self, spec: KernelSpec, traces: list[Trace] | None = None) -> Verdict:
-        return self.detect_many([spec])[0]
 
     def detect_many(
         self,
@@ -126,32 +117,23 @@ class HPCGPTDetector(_TokenBudgetMixin):
     """The paper's contribution behind the detector interface.
 
     The fine-tuned model is trained to emit exactly "yes"/"no", so
-    detection compares the two answer-token logits (a calibrated margin
-    threshold, fitted on the *training* split, absorbs any global class
-    bias — standard practice for classifier heads)."""
+    detection compares the two answer-token logits (:func:`race_margins`)
+    with a calibrated margin threshold, fitted on the *training* split,
+    which absorbs any global class bias — standard practice for
+    classifier heads."""
 
-    def __init__(
-        self,
-        name: str,
-        model: CausalLM,
-        tokenizer: BPETokenizer,
-        threshold: float = 0.0,
-    ) -> None:
-        super().__init__(tokenizer)
+    def __init__(self, name: str, engine: InferenceEngine, threshold: float) -> None:
+        super().__init__(engine.tokenizer)
         self.name = name
-        self.model = model
+        self.engine = engine
         self.threshold = threshold
-        self.engine = InferenceEngine(model, tokenizer)
-
-    def detect(self, spec: KernelSpec, traces: list[Trace] | None = None) -> Verdict:
-        return self.detect_many([spec])[0]
 
     def detect_many(
         self,
         specs: list[KernelSpec],
         traces_list: "list[list[Trace] | None] | None" = None,
     ) -> list[Verdict]:
-        margins = self.engine.yes_no_margins([race_prompt(s) for s in specs])
+        margins = race_margins(self.engine, [(s.source, s.language) for s in specs])
         return [
             Verdict.RACE if m >= self.threshold else Verdict.NO_RACE for m in margins
         ]
@@ -172,12 +154,11 @@ class ChunkedHPCGPTDetector(HPCGPTDetector):
     def __init__(
         self,
         name: str,
-        model: CausalLM,
-        tokenizer: BPETokenizer,
-        threshold: float = 0.0,
+        engine: InferenceEngine,
+        threshold: float,
         budget: int = TOKEN_BUDGET,
     ) -> None:
-        super().__init__(name, model, tokenizer, threshold)
+        super().__init__(name, engine, threshold)
         self.budget = budget
 
     def supports(self, spec: KernelSpec) -> bool:
@@ -210,12 +191,12 @@ class ChunkedHPCGPTDetector(HPCGPTDetector):
         # Flatten every program's segments into one scoring batch; a
         # program is racy iff any of its segments crosses the threshold.
         owners: list[int] = []
-        instructions: list[str] = []
+        programs: list[tuple[str, str]] = []
         for idx, spec in enumerate(specs):
             for segment in self._segments(spec.source):
                 owners.append(idx)
-                instructions.append(race_instruction(segment, spec.language))
-        margins = self.engine.yes_no_margins(instructions)
+                programs.append((segment, spec.language))
+        margins = race_margins(self.engine, programs)
         racy = {idx for idx, m in zip(owners, margins) if m >= self.threshold}
         return [
             Verdict.RACE if idx in racy else Verdict.NO_RACE for idx in range(len(specs))

@@ -48,9 +48,6 @@ class DRBSuite:
     def by_language(self, language: str) -> list[KernelSpec]:
         return [s for s in self.specs if s.language == language]
 
-    def by_category(self, category: str) -> list[KernelSpec]:
-        return [s for s in self.specs if s.category == category]
-
     def labels(self) -> dict[str, str]:
         return {s.id: s.label for s in self.specs}
 

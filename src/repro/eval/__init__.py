@@ -2,7 +2,7 @@
 rendering, and the Task-1 QA evaluator."""
 
 from repro.eval.metrics import ConfusionCounts, MetricRow, compute_metrics
-from repro.eval.harness import EvaluationHarness, HarnessConfig
+from repro.eval.harness import EvaluationHarness
 from repro.eval.tables import render_table4, render_table5, improvements_over
 from repro.eval.task1_eval import Task1Evaluator, QAExample
 
@@ -11,7 +11,6 @@ __all__ = [
     "MetricRow",
     "compute_metrics",
     "EvaluationHarness",
-    "HarnessConfig",
     "render_table4",
     "render_table5",
     "improvements_over",

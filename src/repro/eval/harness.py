@@ -16,24 +16,6 @@ from repro.runtime import Machine, MachineConfig
 from repro.runtime.interpreter import Trace
 
 
-@dataclass(frozen=True)
-class HarnessConfig:
-    """Evaluation parameters.
-
-    Four explored schedules give the dynamic tools' schedule-dependent
-    behaviours (e.g. Inspector's lockset false positives on
-    barrier-separated phases, which need a non-master single winner) a
-    realistic chance to manifest.
-    """
-
-    n_threads: int = 2
-    n_schedules: int = 4
-    base_seed: int = 0
-    # Table-5 rows are defined against the seed exploration policy;
-    # alternative strategies are opt-in (see repro.runtime.schedules).
-    strategies: tuple[str, ...] = ("random",)
-
-
 @dataclass
 class HarnessOutput:
     """All raw results plus per-(tool, language) metric rows."""
@@ -51,23 +33,21 @@ class HarnessOutput:
 class EvaluationHarness:
     """Runs detectors across the suite and computes Table-5 rows."""
 
-    def __init__(self, suite: DRBSuite, config: HarnessConfig | None = None) -> None:
+    def __init__(self, suite: DRBSuite, machine_config: MachineConfig | None = None) -> None:
+        """``machine_config`` defaults to 4 explored schedules of the seed
+        ``random`` strategy (the policy Table 5 is defined against): four
+        give the dynamic tools' schedule-dependent behaviours (e.g.
+        Inspector's lockset false positives on barrier-separated phases,
+        which need a non-master single winner) a realistic chance to
+        manifest."""
         self.suite = suite
-        self.config = config or HarnessConfig()
+        self.machine = Machine(machine_config or MachineConfig(n_schedules=4))
         self._trace_cache: dict[str, list[Trace]] = {}
 
     def traces_for(self, spec: KernelSpec) -> list[Trace]:
         cached = self._trace_cache.get(spec.id)
         if cached is None:
-            machine = Machine(
-                MachineConfig(
-                    n_threads=self.config.n_threads,
-                    n_schedules=self.config.n_schedules,
-                    base_seed=self.config.base_seed,
-                    strategies=self.config.strategies,
-                )
-            )
-            cached = machine.traces(spec.parse())
+            cached = self.machine.traces(spec.parse())
             self._trace_cache[spec.id] = cached
         return cached
 

@@ -129,9 +129,10 @@ class Task1Score:
 
 
 class Task1Evaluator:
-    """Scores answering callables over the QA set.
+    """Scores answering methods over the QA set.
 
-    A method is ``question -> answer-string-or-None``.
+    A method maps a list of questions to one answer string (or ``None``,
+    declined) per question.
     """
 
     def __init__(self, examples: list[QAExample]) -> None:
@@ -154,24 +155,17 @@ class Task1Evaluator:
             )
         )
 
-    def score(self, method_name: str, answer_fn: Callable[[str], str | None]) -> Task1Score:
-        """Score one answering method.
-
-        When ``answer_fn`` exposes a ``batch`` attribute — a callable
-        mapping a list of questions to a list of answers — all questions
-        are answered in one batched call (the engine-backed HPC-GPT
-        methods do), otherwise questions are asked one at a time.
-        """
-        batch_fn = getattr(answer_fn, "batch", None)
-        if batch_fn is not None:
-            answers = batch_fn([ex.question for ex in self.examples])
-            if len(answers) != len(self.examples):
-                raise ValueError(
-                    f"{method_name}.batch returned {len(answers)} answers "
-                    f"for {len(self.examples)} questions"
-                )
-        else:
-            answers = [answer_fn(ex.question) for ex in self.examples]
+    def score(
+        self, method_name: str, answer_batch: Callable[[list[str]], list[str | None]]
+    ) -> Task1Score:
+        """Score one answering method: all questions are answered in one
+        call (the engine-backed HPC-GPT methods decode them in batches)."""
+        answers = answer_batch([ex.question for ex in self.examples])
+        if len(answers) != len(self.examples):
+            raise ValueError(
+                f"{method_name} returned {len(answers)} answers "
+                f"for {len(self.examples)} questions"
+            )
         correct = 0
         answered = 0
         for ex, ans in zip(self.examples, answers):

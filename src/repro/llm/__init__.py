@@ -4,8 +4,7 @@ model registry (the reproduction's stand-ins for LLaMA/LLaMA-2 13B).
 """
 
 from repro.llm.model import CausalLM, ModelConfig
-from repro.llm.generation import GenerationConfig, generate
-from repro.llm.engine import InferenceEngine, MicroBatcher
+from repro.llm.engine import GenerationConfig, InferenceEngine, MicroBatcher
 from repro.llm.chat import ChatFormat
 from repro.llm.pretrain import PretrainConfig, build_general_corpus, pretrain
 from repro.llm.registry import ModelRegistry
@@ -14,7 +13,6 @@ __all__ = [
     "CausalLM",
     "ModelConfig",
     "GenerationConfig",
-    "generate",
     "InferenceEngine",
     "MicroBatcher",
     "ChatFormat",

@@ -10,8 +10,10 @@ routes through :class:`InferenceEngine`.  The engine owns:
   fills every row's KV cache;
 * **batched incremental decode** — one token per row per step against
   preallocated KV buffers, with per-row EOS/context-full bookkeeping;
-* **batched scoring** — next-token logits / log-probs over candidate
-  answer tokens, subsuming the sequential ``yes_no_margin``.
+* **batched scoring** — next-token logits at the answer position, and
+  the yes/no margins of chat-formatted instructions;
+* the decoding *policy* — :class:`GenerationConfig` (greedy or
+  temperature/top-k sampling).
 
 Left-padding (rather than right-padding) keeps the *last* column of the
 batch the last real token of every row, so next-token logits for the
@@ -30,6 +32,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -44,6 +47,39 @@ from repro.tokenizer import BPETokenizer
 #: overhead on the NumPy substrate, small enough to bound the (B, H, W, W)
 #: prefill score tensor.
 DEFAULT_BATCH_SIZE = 16
+
+
+@dataclass(frozen=True)
+class GenerationConfig:
+    """Decoding hyper-parameters."""
+
+    max_new_tokens: int = 32
+    temperature: float = 0.0  # 0 => greedy
+    top_k: int = 0  # 0 => no top-k filtering
+    stop_at_eos: bool = True
+
+    def __post_init__(self) -> None:
+        if self.max_new_tokens <= 0:
+            raise ValueError("max_new_tokens must be positive")
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
+
+
+def _sample_from_logits(
+    logits: np.ndarray, config: GenerationConfig, rng: np.random.Generator | None
+) -> int:
+    if config.temperature == 0.0:
+        return int(np.argmax(logits))
+    scaled = logits / config.temperature
+    if config.top_k > 0 and config.top_k < scaled.size:
+        kth = np.partition(scaled, -config.top_k)[-config.top_k]
+        scaled = np.where(scaled >= kth, scaled, -np.inf)
+    scaled = scaled - scaled.max()
+    probs = np.exp(scaled)
+    probs /= probs.sum()
+    if rng is None:
+        raise ValueError("sampling requires an rng when temperature > 0")
+    return int(rng.choice(probs.size, p=probs))
 
 
 def clamp_prompt(prompt_ids: list[int], max_new_tokens: int, max_ctx: int) -> list[int]:
@@ -99,31 +135,22 @@ class InferenceEngine:
 
     # -- generation ----------------------------------------------------------
 
-    def generate(
-        self,
-        prompt_ids: list[int],
-        config: "GenerationConfig | None" = None,
-        rng: np.random.Generator | None = None,
-    ) -> list[int]:
-        """Single-prompt convenience wrapper over :meth:`generate_batch`."""
-        return self.generate_batch([prompt_ids], config=config, rng=rng)[0]
-
     def generate_batch(
         self,
         prompts: list[list[int]],
-        config: "GenerationConfig | None" = None,
+        config: GenerationConfig | None = None,
         rng: np.random.Generator | None = None,
     ) -> list[list[int]]:
         """Decode continuations for a batch of prompts; returns, per
         prompt, only the newly generated ids.
 
-        Greedy decoding matches per-item :func:`repro.llm.generation.generate`
-        exactly.  With ``temperature > 0`` each alive row draws from
-        ``rng`` in row order each step, so a batch of one also matches the
+        Greedy decoding gives every row exactly what a batch of one
+        gives it.  With ``temperature > 0`` each alive row draws from
+        ``rng`` in row order each step, so a batch of one draws the
         sequential sampling stream; larger batches interleave draws.
+        Over-long prompts keep their most recent context window
+        (:func:`clamp_prompt`).
         """
-        from repro.llm.generation import GenerationConfig, _sample_from_logits
-
         config = config or GenerationConfig()
         if not prompts or any(not p for p in prompts):
             raise ValueError("empty prompt")
@@ -172,7 +199,7 @@ class InferenceEngine:
     def generate_many(
         self,
         prompts: list[list[int]],
-        config: "GenerationConfig | None" = None,
+        config: GenerationConfig | None = None,
         rng: np.random.Generator | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> list[list[int]]:
@@ -213,32 +240,12 @@ class InferenceEngine:
                 out[take] = logits.numpy()[:, -1, :]
         return out
 
-    def score_batch(
-        self,
-        prompts: list[list[int]],
-        candidates: np.ndarray | list[int] | list[list[int]],
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ) -> np.ndarray:
-        """Next-token log-probabilities of candidate answer ids.
-
-        ``candidates`` is either a shared id list (K,) scored for every
-        prompt, or a per-prompt array (B, K).  Returns (B, K).
-        """
-        logits = self.next_token_logits(prompts, batch_size=batch_size)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        cand = np.asarray(candidates)
-        if cand.ndim == 1:
-            return logp[:, cand]
-        return np.take_along_axis(logp, cand, axis=-1)
-
     def yes_no_margins(
         self, instructions: list[str], batch_size: int = DEFAULT_BATCH_SIZE
     ) -> list[float]:
         """Batched log-odds margins ``logit(" yes") - logit(" no")`` at the
         answer position of each chat-formatted instruction (left-truncated
-        to the model context by :func:`clamp_prompt` inside the scorer) —
-        the engine form of ``yes_no_margin``."""
+        to the model context by :func:`clamp_prompt` inside the scorer)."""
         prompts = [self.chat.prompt_ids(instruction) for instruction in instructions]
         yes_id = self.tokenizer.encode(" yes")[0]
         no_id = self.tokenizer.encode(" no")[0]

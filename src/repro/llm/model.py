@@ -155,10 +155,6 @@ class CausalLM(Module):
 
     # -- convenience --------------------------------------------------------------
 
-    def clone_architecture(self, rng: np.random.Generator) -> "CausalLM":
-        """A freshly-initialised model with identical hyper-parameters."""
-        return CausalLM(self.config, rng)
-
     def copy(self) -> "CausalLM":
         """Deep copy (new parameter arrays, same values)."""
         import copy as _copy

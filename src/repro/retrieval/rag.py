@@ -6,8 +6,8 @@ while adhering to token limitations"), and answer from that context.
 
 At substrate scale a ~10^5-parameter LM cannot read novel facts from
 context the way a 13B model can, so the answer extractor is explicit
-and rule-based over the retrieved chunk (value lookup by field name),
-with the LM path available for completeness.  The behaviour §5 promises
+and rule-based over the retrieved chunk (value lookup by field name).
+The behaviour §5 promises
 — *new facts become answerable without retraining* — holds either way
 and is what the tests and the update example verify.
 """
@@ -184,9 +184,3 @@ class RetrievalAugmentedAnswerer:
                     return f"{fields[field]} (retrieved, score {hit.score:.2f})"
         # No structured field matched: return the best chunk as context.
         return hits[0].text
-
-    def context_for(self, question: str) -> str:
-        """The retrieved context block, as a prompt prefix for an LM."""
-        hits = self.store.search(question, k=self.k)
-        parts = [f"[{i + 1}] {h.text}" for i, h in enumerate(hits)]
-        return "\n".join(parts)

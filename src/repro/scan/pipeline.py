@@ -12,9 +12,9 @@ Stages (each timed into the report):
    TSan) checks one kernel at a time — its schedules execute once, every
    tool runs on those traces, and they are released before the next
    kernel — then **LLM scoring** routes every kernel through
-   :meth:`InferenceEngine.yes_no_margins` in large batches — the same
-   calibrated-margin path as single-kernel ``detect_race``, so scan
-   verdicts match it exactly.
+   :func:`repro.detectors.llm_detector.race_margins` in large batches —
+   the same calibrated-margin path as single-kernel ``detect_race``, so
+   scan verdicts match it exactly.
 
 ``llm_lock`` (a no-op by default) serialises only the model calls,
 letting the HTTP server run long scans concurrently with its
@@ -29,7 +29,7 @@ from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.datagen.prompts import race_instruction
+from repro.detectors.llm_detector import race_margins
 from repro.detectors.registry import build_tool_detectors
 from repro.runtime import Machine, MachineConfig
 from repro.scan.cache import VerdictCache, kernel_key, pipeline_fingerprint
@@ -228,13 +228,10 @@ class ScanPipeline:
         if not self.config.tools_only:
             # The exact detect_race path: calibrated yes/no margins from
             # the batched engine, compared against the fitted threshold.
-            instructions = [
-                race_instruction(k.source, k.language) for _, k in items
-            ]
             threshold = self._threshold()
             engine = self.system.engine(self.config.llm_version)
             with self._llm_lock:
-                margins = engine.yes_no_margins(instructions)
+                margins = race_margins(engine, [(k.source, k.language) for _, k in items])
             for i, margin in enumerate(margins):
                 llm_margins[i] = float(margin)
                 llm_verdicts[i] = "yes" if margin >= threshold else "no"

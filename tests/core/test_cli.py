@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main, suite_write_sources
+from repro.cli import build_parser, main
 from repro.drb import DRBSuite
 
 
@@ -103,7 +103,7 @@ class TestExport:
         # A small sub-suite keeps the test fast.
         full = DRBSuite.evaluation(seed=0)
         small = DRBSuite(full.specs[:6] + full.by_language("Fortran")[:6])
-        n = suite_write_sources(small, tmp_path)
+        n = small.write_tree(tmp_path)
         assert n == 12
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert len(manifest) == 12
@@ -118,3 +118,21 @@ class TestExport:
         assert rc == 0
         out = capsys.readouterr().out
         assert "wrote 343 kernels" in out
+
+
+class TestEval:
+    def test_tools_only_builds_no_model(self, monkeypatch, capsys):
+        from repro.core import HPCGPTSystem
+
+        def no_models(self):
+            raise AssertionError("eval --tools-only must not build a model")
+
+        full = DRBSuite.evaluation(seed=0)
+        small = DRBSuite(full.by_language("C/C++")[:3] + full.by_language("Fortran")[:3])
+        monkeypatch.setattr(HPCGPTSystem, "registry", property(no_models))
+        monkeypatch.setattr(DRBSuite, "evaluation", classmethod(lambda cls, seed=0: small))
+        assert main(["eval", "--tools-only"]) == 0
+        out = capsys.readouterr().out
+        for tool in ("LLOV", "Intel Inspector", "ROMP", "Thread Sanitizer"):
+            assert tool in out
+        assert "HPC-GPT" not in out and "LLaMa" not in out

@@ -29,3 +29,40 @@ class TestBuildToolDetectors:
     def test_unknown_language_rejected(self):
         with pytest.raises(UnknownLanguageError):
             build_tool_detectors("rust")
+
+
+class TestRunContract:
+    """``Detector.run`` is ``run_many`` over one program: the support
+    check and the verdict-type check live in one place."""
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        from repro.drb import DRBSuite
+
+        return DRBSuite.evaluation(seed=0).specs[0]
+
+    def test_unsupported_program_skips_detection(self, spec):
+        from repro.detectors import Detector, Verdict
+
+        class Declines(Detector):
+            name = "declines"
+
+            def supports(self, spec):
+                return False
+
+            def detect(self, spec, traces=None):
+                raise AssertionError("detect must not run on an unsupported program")
+
+        assert Declines().run(spec).verdict is Verdict.UNSUPPORTED
+
+    def test_non_verdict_rejected(self, spec):
+        from repro.detectors import Detector
+
+        class Stringly(Detector):
+            name = "stringly"
+
+            def detect(self, spec, traces=None):
+                return "yes"
+
+        with pytest.raises(TypeError, match="stringly.detect_many returned 'yes'"):
+            Stringly().run(spec)

@@ -12,9 +12,9 @@ from repro.detectors import (
     Verdict,
     race_prompt,
 )
-from repro.detectors.llm_detector import parse_yes_no, yes_no_margin
+from repro.detectors.llm_detector import parse_yes_no, race_margins
 from repro.drb import DRBSuite
-from repro.llm import CausalLM, ModelConfig
+from repro.llm import CausalLM, InferenceEngine, ModelConfig
 from repro.llm.pretrain import PretrainConfig, build_general_corpus, train_tokenizer_on
 from repro.utils.rng import derive_rng
 
@@ -36,6 +36,11 @@ def tiny_model():
     cfg = ModelConfig(vocab_size=400, dim=16, n_layers=1, n_heads=2,
                       hidden_dim=32, max_seq_len=256)
     return CausalLM(cfg, derive_rng(9, "llm-det"))
+
+
+@pytest.fixture(scope="module")
+def engine(tiny_model, tok):
+    return InferenceEngine(tiny_model, tok)
 
 
 class TestTokenBudget:
@@ -108,17 +113,17 @@ class TestGPTSims:
 
 
 class TestBaseModelDetector:
-    def test_returns_verdict_and_deterministic(self, suite, tok, tiny_model):
-        det = LLMBaseModelDetector("LLaMa", tiny_model, tok)
+    def test_returns_verdict_and_deterministic(self, suite, engine):
+        det = LLMBaseModelDetector("LLaMa", engine)
         s = next(s for s in suite.specs if "oversize" not in s.features)
         v1 = det.run(s).verdict
         v2 = det.run(s).verdict
         assert v1 == v2 and v1 in (Verdict.RACE, Verdict.NO_RACE)
 
-    def test_near_chance_overall(self, suite, tok, tiny_model):
+    def test_near_chance_overall(self, suite, engine):
         """An untuned model cannot beat the heuristic sims; accuracy must
         sit near chance (the paper's LLaMA rows: 0.52-0.54)."""
-        det = LLMBaseModelDetector("LLaMa", tiny_model, tok)
+        det = LLMBaseModelDetector("LLaMa", engine)
         rng = np.random.default_rng(0)
         pool = suite.by_language("Fortran")
         specs = list(rng.permutation(np.array(pool, dtype=object)))[:40]
@@ -137,22 +142,22 @@ class TestBatchedVerdictParity:
         supported = [s for s in suite.specs if "oversize" not in s.features]
         return supported[:n]
 
-    def test_hpcgpt_detector_batch_matches_sequential(self, suite, tok, tiny_model):
-        det = HPCGPTDetector("hg", tiny_model, tok, threshold=0.0)
+    def test_hpcgpt_detector_batch_matches_sequential(self, suite, engine):
+        det = HPCGPTDetector("hg", engine, threshold=0.0)
         specs = self._sample(suite)
         batched = det.detect_many(specs)
-        sequential = [det.detect(s) for s in specs]
+        sequential = [det.detect_many([s])[0] for s in specs]
         assert batched == sequential
 
-    def test_base_model_detector_batch_matches_sequential(self, suite, tok, tiny_model):
-        det = LLMBaseModelDetector("LLaMa", tiny_model, tok)
+    def test_base_model_detector_batch_matches_sequential(self, suite, engine):
+        det = LLMBaseModelDetector("LLaMa", engine)
         specs = self._sample(suite, n=8)
         batched = det.detect_many(specs)
-        sequential = [det.detect(s) for s in specs]
+        sequential = [det.detect_many([s])[0] for s in specs]
         assert batched == sequential
 
-    def test_run_many_matches_run(self, suite, tok, tiny_model):
-        det = HPCGPTDetector("hg", tiny_model, tok, threshold=0.0)
+    def test_run_many_matches_run(self, suite, engine):
+        det = HPCGPTDetector("hg", engine, threshold=0.0)
         specs = suite.specs[:16]  # includes unsupported oversize programs
         batched = det.run_many(specs)
         sequential = [det.run(s) for s in specs]
@@ -163,37 +168,43 @@ class TestBatchedVerdictParity:
         specs = suite.specs[:16]
         assert det.run_many(specs) == [det.run(s) for s in specs]
 
-    def test_run_many_all_unsupported(self, suite, tok, tiny_model):
+    def test_run_many_all_unsupported(self, suite, engine):
         """A batch where no program fits the token budget must yield
         UNSUPPORTED rows, not crash the batched scorer."""
-        det = HPCGPTDetector("hg", tiny_model, tok, threshold=0.0)
+        det = HPCGPTDetector("hg", engine, threshold=0.0)
         oversize = [s for s in suite.specs if "oversize" in s.features][:4]
         assert oversize and not any(det.supports(s) for s in oversize)
         results = det.run_many(oversize)
         assert [r.verdict for r in results] == [Verdict.UNSUPPORTED] * len(oversize)
 
-    def test_empty_batches_are_empty(self, suite, tok, tiny_model):
-        det = HPCGPTDetector("hg", tiny_model, tok, threshold=0.0)
+    def test_empty_batches_are_empty(self, suite, engine):
+        det = HPCGPTDetector("hg", engine, threshold=0.0)
         assert det.run_many([]) == []
         assert det.detect_many([]) == []
         assert det.engine.yes_no_margins([]) == []
 
 
 class TestHPCGPTDetector:
-    def test_margin_threshold_behaviour(self, suite, tok, tiny_model):
+    def test_margin_threshold_behaviour(self, suite, engine):
         s = next(s for s in suite.specs if "oversize" not in s.features)
-        margin = yes_no_margin(tiny_model, tok, race_prompt(s))
-        low = HPCGPTDetector("hg", tiny_model, tok, threshold=margin - 1.0)
-        high = HPCGPTDetector("hg", tiny_model, tok, threshold=margin + 1.0)
+        margin = engine.yes_no_margins([race_prompt(s)])[0]
+        low = HPCGPTDetector("hg", engine, threshold=margin - 1.0)
+        high = HPCGPTDetector("hg", engine, threshold=margin + 1.0)
         assert low.run(s).verdict is Verdict.RACE
         assert high.run(s).verdict is Verdict.NO_RACE
 
-    def test_margin_is_finite_float(self, suite, tok, tiny_model):
+    def test_margin_is_finite_float(self, suite, engine):
         s = suite.specs[0]
-        m = yes_no_margin(tiny_model, tok, race_prompt(s))
+        [m] = race_margins(engine, [(s.source, s.language)])
         assert isinstance(m, float) and np.isfinite(m)
 
-    def test_long_prompt_truncated_not_crashing(self, suite, tok, tiny_model):
+    def test_race_margins_score_the_race_prompt(self, suite, engine):
+        specs = [suite.specs[0], suite.by_language("Fortran")[0]]
+        assert race_margins(engine, [(s.source, s.language) for s in specs]) == (
+            engine.yes_no_margins([race_prompt(s) for s in specs])
+        )
+
+    def test_long_prompt_truncated_not_crashing(self, suite, engine):
         s = next(s for s in suite.specs if "oversize" in s.features)
-        m = yes_no_margin(tiny_model, tok, race_prompt(s))
+        m = engine.yes_no_margins([race_prompt(s)])[0]
         assert np.isfinite(m)

@@ -5,10 +5,11 @@ import pytest
 from repro.detectors import LLOVDetector, ThreadSanitizerDetector
 from repro.drb import DRBSuite
 from repro.drb.generator import generate_eval_suite
-from repro.eval import EvaluationHarness, HarnessConfig, Task1Evaluator
+from repro.eval import EvaluationHarness, Task1Evaluator
 from repro.eval.task1_eval import build_qa_set
 from repro.knowledge import build_mlperf_table, build_plp_catalog
 from repro.ontology import HPCOntology
+from repro.runtime import MachineConfig
 
 
 @pytest.fixture(scope="module")
@@ -26,14 +27,14 @@ def mini_suite():
 
 class TestHarness:
     def test_runs_static_and_dynamic(self, mini_suite):
-        harness = EvaluationHarness(mini_suite, HarnessConfig(n_schedules=1))
+        harness = EvaluationHarness(mini_suite, MachineConfig(n_schedules=1))
         out = harness.run([LLOVDetector(), ThreadSanitizerDetector()])
         assert len(out.rows) == 4  # 2 tools x 2 languages
         row = out.row("LLOV", "C/C++")
         assert row.counts.total == len(mini_suite.by_language("C/C++"))
 
     def test_trace_cache_reused(self, mini_suite):
-        harness = EvaluationHarness(mini_suite, HarnessConfig(n_schedules=1))
+        harness = EvaluationHarness(mini_suite, MachineConfig(n_schedules=1))
         spec = mini_suite.specs[0]
         t1 = harness.traces_for(spec)
         t2 = harness.traces_for(spec)
@@ -46,7 +47,7 @@ class TestHarness:
             out.row("LLOV", "Fortran")
 
     def test_tsan_beats_chance(self, mini_suite):
-        harness = EvaluationHarness(mini_suite, HarnessConfig(n_schedules=2))
+        harness = EvaluationHarness(mini_suite, MachineConfig(n_schedules=2))
         out = harness.run([ThreadSanitizerDetector()], languages=("C/C++",))
         row = out.row("Thread Sanitizer", "C/C++")
         assert row.accuracy > 0.6
@@ -69,7 +70,7 @@ class TestTask1Evaluator:
     def test_ontology_scores_high_on_templates_low_coverage_elsewhere(self, setup):
         catalog, table, qa = setup
         onto = HPCOntology(catalog, table)
-        score = Task1Evaluator(qa).score("HPC-Ontology", onto.answer)
+        score = Task1Evaluator(qa).score("HPC-Ontology", lambda qs: [onto.answer(q) for q in qs])
         assert score.total == len(qa)
         # The ontology answers the Listing-3/4 anchors correctly.
         assert score.correct >= 2
@@ -78,18 +79,25 @@ class TestTask1Evaluator:
     def test_perfect_method(self, setup):
         _, _, qa = setup
         gold = {ex.question: ex.answer_entity for ex in qa}
-        score = Task1Evaluator(qa).score("oracle", lambda q: gold.get(q))
+        score = Task1Evaluator(qa).score("oracle", lambda qs: [gold.get(q) for q in qs])
         assert score.accuracy == 1.0 and score.coverage == 1.0
 
     def test_generic_method_scores_zero(self, setup):
         _, _, qa = setup
-        score = Task1Evaluator(qa).score("generic", lambda q: "it depends on many factors")
+        score = Task1Evaluator(qa).score(
+            "generic", lambda qs: ["it depends on many factors"] * len(qs)
+        )
         assert score.correct == 0 and score.coverage == 1.0
 
     def test_declining_method_has_zero_coverage(self, setup):
         _, _, qa = setup
-        score = Task1Evaluator(qa).score("mute", lambda q: None)
+        score = Task1Evaluator(qa).score("mute", lambda qs: [None] * len(qs))
         assert score.coverage == 0.0
+
+    def test_answer_count_mismatch_rejected(self, setup):
+        _, _, qa = setup
+        with pytest.raises(ValueError, match="returned 1 answers"):
+            Task1Evaluator(qa).score("short", lambda qs: ["x"])
 
     def test_empty_qa_rejected(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.llm import CausalLM, GenerationConfig, ModelConfig
-from repro.llm.generation import generate
+from repro.llm import CausalLM, GenerationConfig, InferenceEngine, ModelConfig
 from repro.llm.pretrain import PretrainConfig, build_general_corpus, train_tokenizer_on
 from repro.nn import load_state, save_state
 from repro.utils.rng import derive_rng
@@ -29,8 +28,9 @@ class TestRoundTrip:
         assert int(meta["step"]) == 7
 
         prompt = tok.encode("the river crosses", bos=True)
-        a = generate(model, tok, prompt, GenerationConfig(max_new_tokens=10))
-        b = generate(reloaded, tok, prompt, GenerationConfig(max_new_tokens=10))
+        cfg = GenerationConfig(max_new_tokens=10)
+        a = InferenceEngine(model, tok).generate_batch([prompt], cfg)[0]
+        b = InferenceEngine(reloaded, tok).generate_batch([prompt], cfg)[0]
         assert a == b
 
     def test_logits_bitwise_equal(self, tok, tmp_path):
@@ -50,10 +50,11 @@ class TestRoundTrip:
         model = CausalLM(CFG, derive_rng(4, "topk"))
         prompt = tok.encode("the river", bos=True)
         # With top_k=1, sampling must equal greedy regardless of temperature.
-        greedy = generate(model, tok, prompt, GenerationConfig(max_new_tokens=6))
-        sampled = generate(
-            model, tok, prompt,
+        engine = InferenceEngine(model, tok)
+        greedy = engine.generate_batch([prompt], GenerationConfig(max_new_tokens=6))[0]
+        sampled = engine.generate_batch(
+            [prompt],
             GenerationConfig(max_new_tokens=6, temperature=2.0, top_k=1),
             rng=derive_rng(0, "s"),
-        )
+        )[0]
         assert sampled == greedy

@@ -8,9 +8,7 @@ import pytest
 
 from repro.llm import CausalLM, GenerationConfig, InferenceEngine, MicroBatcher, ModelConfig
 from repro.llm.engine import clamp_prompt
-from repro.llm.generation import generate
 from repro.llm.pretrain import PretrainConfig, build_general_corpus, train_tokenizer_on
-from repro.detectors.llm_detector import yes_no_margin
 from repro.utils.rng import derive_rng
 
 SMALL = ModelConfig(vocab_size=300, dim=16, n_layers=2, n_heads=2, hidden_dim=32, max_seq_len=64)
@@ -45,37 +43,23 @@ def mixed_prompts(tok):
 
 
 class TestGenerateBatchParity:
-    def test_greedy_batch_equals_sequential(self, engine, model, tok, mixed_prompts):
+    def test_greedy_batch_equals_sequential(self, engine, mixed_prompts):
         cfg = GenerationConfig(max_new_tokens=10)
         batched = engine.generate_batch(mixed_prompts, cfg)
-        sequential = [generate(model, tok, p, cfg) for p in mixed_prompts]
+        sequential = [engine.generate_batch([p], cfg)[0] for p in mixed_prompts]
         assert batched == sequential
 
-    def test_greedy_parity_without_eos_stop(self, engine, model, tok, mixed_prompts):
+    def test_greedy_parity_without_eos_stop(self, engine, mixed_prompts):
         cfg = GenerationConfig(max_new_tokens=12, stop_at_eos=False)
         batched = engine.generate_batch(mixed_prompts, cfg)
-        sequential = [generate(model, tok, p, cfg) for p in mixed_prompts]
+        sequential = [engine.generate_batch([p], cfg)[0] for p in mixed_prompts]
         assert batched == sequential
-
-    def test_batch_of_one_matches_wrapper(self, engine, model, tok, mixed_prompts):
-        cfg = GenerationConfig(max_new_tokens=6)
-        assert engine.generate_batch([mixed_prompts[1]], cfg)[0] == generate(
-            model, tok, mixed_prompts[1], cfg
-        )
 
     def test_generate_many_chunks(self, engine, mixed_prompts):
         cfg = GenerationConfig(max_new_tokens=4)
         whole = engine.generate_batch(mixed_prompts, cfg)
         chunked = engine.generate_many(mixed_prompts, cfg, batch_size=2)
         assert whole == chunked
-
-    def test_sampling_batch_of_one_matches_sequential_stream(
-        self, engine, model, tok, mixed_prompts
-    ):
-        cfg = GenerationConfig(max_new_tokens=6, temperature=0.9, top_k=12)
-        a = engine.generate_batch([mixed_prompts[0]], cfg, rng=derive_rng(7, "s"))[0]
-        b = generate(model, tok, mixed_prompts[0], cfg, rng=derive_rng(7, "s"))
-        assert a == b
 
     def test_empty_prompt_rejected(self, engine):
         with pytest.raises(ValueError):
@@ -85,7 +69,7 @@ class TestGenerateBatchParity:
 
 
 class TestScoreBatchParity:
-    def test_margins_match_sequential_within_tolerance(self, engine, model, tok):
+    def test_margins_match_sequential_within_tolerance(self, engine):
         instructions = [
             "is there a data race in this loop?",
             "the quick brown fox jumps over the lazy dog " * 8,  # forces truncation
@@ -93,7 +77,7 @@ class TestScoreBatchParity:
             "does the reduction clause protect the accumulation here?",
         ]
         batched = engine.yes_no_margins(instructions)
-        sequential = [yes_no_margin(model, tok, s) for s in instructions]
+        sequential = [engine.yes_no_margins([s])[0] for s in instructions]
         np.testing.assert_allclose(batched, sequential, atol=1e-5)
 
     def test_margins_batch_size_invariant(self, engine):
@@ -101,18 +85,6 @@ class TestScoreBatchParity:
         a = engine.yes_no_margins(instructions, batch_size=1)
         b = engine.yes_no_margins(instructions, batch_size=3)
         np.testing.assert_allclose(a, b, atol=1e-5)
-
-    def test_score_batch_shared_candidates(self, engine, tok, mixed_prompts):
-        yes_id = tok.encode(" yes")[0]
-        no_id = tok.encode(" no")[0]
-        logp = engine.score_batch(mixed_prompts, [yes_id, no_id])
-        assert logp.shape == (len(mixed_prompts), 2)
-        assert (logp <= 0.0).all()
-
-    def test_score_batch_per_prompt_candidates(self, engine, mixed_prompts):
-        cands = np.arange(len(mixed_prompts) * 3).reshape(len(mixed_prompts), 3) % 300
-        logp = engine.score_batch(mixed_prompts, cands)
-        assert logp.shape == (len(mixed_prompts), 3)
 
     def test_next_token_logits_match_direct_forward(self, engine, model, mixed_prompts):
         from repro.tensor import no_grad
@@ -125,15 +97,15 @@ class TestScoreBatchParity:
 
 
 class TestContextOverflowRegression:
-    def test_max_new_tokens_at_context_edge(self, model, tok):
+    def test_max_new_tokens_at_context_edge(self, engine, tok):
         """max_new_tokens >= max_seq_len - 1 with an over-long prompt used
         to keep the whole prompt and crash the RoPE table mid-prefill."""
         long_prompt = tok.encode("the river flows past the hill " * 30, bos=True)
         assert len(long_prompt) > SMALL.max_seq_len
         for n in (SMALL.max_seq_len - 1, SMALL.max_seq_len, SMALL.max_seq_len + 40):
-            out = generate(
-                model, tok, long_prompt, GenerationConfig(max_new_tokens=n, stop_at_eos=False)
-            )
+            out = engine.generate_batch(
+                [long_prompt], GenerationConfig(max_new_tokens=n, stop_at_eos=False)
+            )[0]
             assert 0 < len(out) <= n
             # The decode can never exceed the model context.
             assert len(out) < SMALL.max_seq_len

@@ -7,12 +7,12 @@ from repro.llm import (
     CausalLM,
     ChatFormat,
     GenerationConfig,
+    InferenceEngine,
     ModelConfig,
     PretrainConfig,
     build_general_corpus,
     pretrain,
 )
-from repro.llm.generation import generate, generate_text
 from repro.llm.pretrain import train_tokenizer_on
 from repro.tensor import no_grad
 from repro.utils.rng import derive_rng
@@ -29,6 +29,11 @@ def tok():
 @pytest.fixture(scope="module")
 def model():
     return CausalLM(SMALL, derive_rng(0, "tests/llm/model"))
+
+
+@pytest.fixture(scope="module")
+def engine(model, tok):
+    return InferenceEngine(model, tok)
 
 
 class TestModel:
@@ -70,16 +75,16 @@ class TestModel:
 
 
 class TestGeneration:
-    def test_greedy_is_deterministic(self, model, tok):
+    def test_greedy_is_deterministic(self, engine, tok):
         ids = tok.encode("the river", bos=True)
-        a = generate(model, tok, ids, GenerationConfig(max_new_tokens=8))
-        b = generate(model, tok, ids, GenerationConfig(max_new_tokens=8))
+        a = engine.generate_batch([ids], GenerationConfig(max_new_tokens=8))[0]
+        b = engine.generate_batch([ids], GenerationConfig(max_new_tokens=8))[0]
         assert a == b
 
-    def test_cache_matches_recompute(self, model, tok):
+    def test_cache_matches_recompute(self, engine, model, tok):
         """Greedy with KV cache equals greedy recomputing from scratch."""
         prompt = tok.encode("the river", bos=True)
-        fast = generate(model, tok, prompt, GenerationConfig(max_new_tokens=6))
+        fast = engine.generate_batch([prompt], GenerationConfig(max_new_tokens=6))[0]
         # Reference: recompute full forward each step.
         slow: list[int] = []
         ctx = list(prompt)
@@ -93,23 +98,21 @@ class TestGeneration:
                 ctx.append(nxt)
         assert fast == slow
 
-    def test_sampling_needs_rng(self, model, tok):
+    def test_sampling_needs_rng(self, engine):
         with pytest.raises(ValueError):
-            generate(model, tok, [1, 2], GenerationConfig(max_new_tokens=2, temperature=1.0))
+            engine.generate_batch(
+                [[1, 2]], GenerationConfig(max_new_tokens=2, temperature=1.0)
+            )
 
-    def test_sampling_deterministic_given_rng(self, model, tok):
+    def test_sampling_deterministic_given_rng(self, engine):
         cfg = GenerationConfig(max_new_tokens=5, temperature=0.8, top_k=10)
-        a = generate(model, tok, [1, 7, 8], cfg, rng=derive_rng(3, "s"))
-        b = generate(model, tok, [1, 7, 8], cfg, rng=derive_rng(3, "s"))
+        a = engine.generate_batch([[1, 7, 8]], cfg, rng=derive_rng(3, "s"))[0]
+        b = engine.generate_batch([[1, 7, 8]], cfg, rng=derive_rng(3, "s"))[0]
         assert a == b
 
-    def test_empty_prompt_rejected(self, model, tok):
+    def test_empty_prompt_rejected(self, engine):
         with pytest.raises(ValueError):
-            generate(model, tok, [])
-
-    def test_generate_text_returns_string(self, model, tok):
-        out = generate_text(model, tok, "the river", GenerationConfig(max_new_tokens=4))
-        assert isinstance(out, str)
+            engine.generate_batch([[]])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -19,9 +19,12 @@ checkers for TSan, ROMP, Inspector, and the HB oracle over the parity
 corpus (the full suite; one spec per category/language under
 ``--smoke``, which also skips the machine-noise-sensitive speed floor).
 
-Writes ``benchmarks/out/BENCH_runtime.json``.  Run from ``benchmarks/``
-with the library and the repository root on the path (the oracle is
-imported as ``tests.runtime.hb_oracle``)::
+Writes ``benchmarks/out/BENCH_runtime.json`` and
+``bench_runtime_throughput.txt``; ``--smoke`` writes
+``BENCH_runtime.smoke.json`` and ``bench_runtime_throughput.smoke.txt``
+instead, so a smoke run never replaces the committed full-run record.
+Run from ``benchmarks/`` with the library and the repository root on the
+path (the oracle is imported as ``tests.runtime.hb_oracle``)::
 
     PYTHONPATH=../src:.. python bench_runtime_throughput.py --smoke
 """
@@ -267,7 +270,9 @@ def main() -> None:
         },
         "schedules_to_first_race": exploration,
     }
-    (OUT_DIR / "BENCH_runtime.json").write_text(json.dumps(payload, indent=1) + "\n")
+    suffix = ".smoke" if smoke else ""
+    artifact = OUT_DIR / f"BENCH_runtime{suffix}.json"
+    artifact.write_text(json.dumps(payload, indent=1) + "\n")
 
     explore_lines = [
         f"    {name:<12} {row['manifested']}/{row['of']} racy specs, "
@@ -275,7 +280,7 @@ def main() -> None:
         for name, row in exploration.items()
     ]
     write_out(
-        "bench_runtime_throughput.txt",
+        f"bench_runtime_throughput{suffix}.txt",
         "\n".join(
             [
                 f"Runtime throughput ({'smoke' if smoke else 'full'}; "
@@ -289,7 +294,7 @@ def main() -> None:
                 "(TSan/ROMP/oracle; Inspector clock-independent)",
                 "  schedules to first race:",
                 *explore_lines,
-                f"  artifact: {OUT_DIR / 'BENCH_runtime.json'}",
+                f"  artifact: {artifact}",
             ]
         ),
     )

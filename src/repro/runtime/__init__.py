@@ -8,7 +8,8 @@ and :func:`hb_races` checks happens-before with FastTrack's epoch rule.
 This substrate replaces the paper's real multicore runs: dynamic race
 detectors (ThreadSanitizer, Intel Inspector, ROMP stand-ins) analyse
 these traces exactly the way the real tools analyse instrumented
-executions.
+executions.  A kernel runs through closures compiled from its IR once
+(:class:`CompiledProgram`) and reused by every schedule explored.
 
 Semantics covered: ``parallel for`` (static chunking), ``parallel``
 regions, ``simd`` (vector lanes with chunk barriers honouring safelen),
@@ -19,7 +20,7 @@ regions, ``simd`` (vector lanes with chunk barriers honouring safelen),
 
 from repro.runtime.clocks import ClockBank, EpochClock
 from repro.runtime.memory import SharedMemory
-from repro.runtime.interpreter import ExecutionError, MemEvent, Trace, execute
+from repro.runtime.interpreter import CompiledProgram, ExecutionError, MemEvent, Trace, execute
 from repro.runtime.machine import Machine, MachineConfig, RaceReport, hb_races
 from repro.runtime.schedules import SCHEDULE_STRATEGIES
 
@@ -27,6 +28,7 @@ __all__ = [
     "ClockBank",
     "EpochClock",
     "SharedMemory",
+    "CompiledProgram",
     "ExecutionError",
     "MemEvent",
     "Trace",

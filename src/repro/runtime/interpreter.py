@@ -22,6 +22,27 @@ Serial and threaded code perform memory actions through the same
 and mediates synchronisation, maintaining vector clocks and per-thread
 locksets.
 
+Compiled bodies
+---------------
+A :class:`CompiledProgram` turns each body into nested Python closures
+the first time an execution reaches it; every later execution of the
+same program (each schedule :class:`~repro.runtime.machine.Machine`
+explores) reuses them.  A body compiles against the private names of
+its lexical scope: the construct's private and reduction variables, its
+loop variables, and the variable of each enclosing serial loop.  Those
+names live in the thread's environment dict; every other name is shared
+memory.  Sub-trees that touch only private names — arithmetic, constant
+indices, conditions, private assignments — compile to plain calls.  A
+shared read whose location is computed by a plain call compiles to a
+call returning its ``read`` action, which the enclosing code yields
+directly.  Everything else that touches shared memory or synchronises
+compiles to a generator function and suspends at each action.  Errors
+are raised when execution reaches the offending node, never at compile
+time: a nested parallel construct, an unknown operator or an
+unevaluable node compiles to code that raises it, so a rejected
+construct in a branch never taken does no harm.  Kernel text is never
+turned into Python source.
+
 The output :class:`Trace` carries every shared-memory event with its
 vector clock, lockset, atomicity flag, and (for ``simd``) a lane marker —
 everything the dynamic detectors need.  Clocks live in the trace's
@@ -42,7 +63,9 @@ thread-level tools (TSan, Inspector) observe a single host thread there.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,9 +84,8 @@ class ExecutionError(RuntimeError):
     """Raised on semantic errors (unbound names, bad indices, deadlock)."""
 
 
-@dataclass(frozen=True)
-class MemEvent:
-    """One shared-memory access."""
+class MemEvent(NamedTuple):
+    """One shared-memory access (a tuple: one is built per access)."""
 
     seq: int
     tid: object  # worker index, ("lane", k), or ("dev", k)
@@ -89,10 +111,8 @@ class Trace:
 
 
 # ---------------------------------------------------------------------------
-# Expression / statement evaluation (generator-based)
+# Arithmetic
 # ---------------------------------------------------------------------------
-# A thread's environment is a plain dict of its private variables, which
-# shadow shared memory.
 
 
 def _as_index(value) -> int:
@@ -107,46 +127,48 @@ def _as_index(value) -> int:
     return i
 
 
+def _div(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        if b == 0:
+            raise ExecutionError("integer division by zero")
+        # C truncates toward zero.  Pure integer form: floating
+        # `int(a / b)` silently loses precision past 2**53.
+        return a // b if (a < 0) == (b < 0) else -(-a // b)
+    if b == 0:
+        raise ExecutionError("division by zero")
+    return a / b
+
+
+def _mod(a, b):
+    if not (isinstance(a, int) and isinstance(b, int)):
+        raise ExecutionError("modulo requires integer operands")
+    if b == 0:
+        raise ExecutionError("modulo by zero")
+    # C remainder: a == (a/b)*b + a%b with truncating division, so the
+    # result carries the dividend's sign.  Integer-only again.
+    q = a // b if (a < 0) == (b < 0) else -(-a // b)
+    return a - b * q
+
+
+_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "%": _mod,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq, "!=": operator.ne,
+}
+
+
+def _op(op: str):
+    """The function applying binary operator ``op``; an unknown operator
+    raises when it is applied, not when it is looked up."""
+    fn = _OPS.get(op)
+    if fn is None:
+        def fn(a, b):
+            raise ExecutionError(f"unknown operator {op!r}")
+    return fn
+
+
 def _arith(op: str, a, b):
-    both_int = isinstance(a, int) and isinstance(b, int)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if both_int:
-            if b == 0:
-                raise ExecutionError("integer division by zero")
-            # C truncates toward zero.  Pure integer form: floating
-            # `int(a / b)` silently loses precision past 2**53.
-            return a // b if (a < 0) == (b < 0) else -(-a // b)
-        if b == 0:
-            raise ExecutionError("division by zero")
-        return a / b
-    if op == "%":
-        if not both_int:
-            raise ExecutionError("modulo requires integer operands")
-        if b == 0:
-            raise ExecutionError("modulo by zero")
-        # C remainder: a == (a/b)*b + a%b with truncating division, so
-        # the result carries the dividend's sign.  Integer-only again.
-        q = a // b if (a < 0) == (b < 0) else -(-a // b)
-        return a - b * q
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    raise ExecutionError(f"unknown operator {op!r}")
+    return _op(op)(a, b)
 
 
 def _access(mem: SharedMemory, action: tuple):
@@ -162,120 +184,345 @@ def _access(mem: SharedMemory, action: tuple):
     return None
 
 
-def _eval(expr, env: dict):
-    """Generator evaluating ``expr``; yields actions, returns the value."""
+# ---------------------------------------------------------------------------
+# Compilation to closures
+# ---------------------------------------------------------------------------
+# An expression compiles to ``(form, fn)``:
+#   _PURE  fn(env) returns the value (no shared access);
+#   _READ  fn(env) returns the ("read", loc) action whose answer is the value;
+#   _GEN   fn(env) is a generator that yields actions and returns the value.
+# Code consuming one writes, for flags ``pure``/``read`` fixed at compile time:
+#   x = f(env) if pure else (yield f(env)) if read else (yield from f(env))
+# A statement compiles to ``(is_gen, fn)``: a plain call, or a generator.
+# ``env`` is the thread's dict of private variables; ``private`` is the
+# set of names it holds wherever the compiled code runs.
+
+_PURE, _READ, _GEN = 0, 1, 2
+_BARRIER = ("barrier",)
+
+
+def _noop(env) -> None:
+    pass
+
+
+def _raiser(message: str):
+    """A statement or pure expression that raises ``message`` when reached."""
+    def fail(env):
+        raise ExecutionError(message)
+    return fail
+
+
+def _compile_expr(expr, private: frozenset) -> tuple:
     if isinstance(expr, Num):
-        return expr.value
+        value = expr.value
+        return _PURE, lambda env: value
     if isinstance(expr, Var):
-        if expr.name in env:
-            return env[expr.name]
-        return (yield ("read", ("sca", expr.name)))
+        name = expr.name
+        if name in private:
+            return _PURE, lambda env: env[name]
+        action = ("read", ("sca", name))
+        return _READ, lambda env: action
     if isinstance(expr, Idx):
-        idx = _as_index((yield from _eval(expr.index, env)))
-        return (yield ("read", ("arr", expr.array, idx)))
+        loc = _constant_loc(expr)
+        if loc is not None:
+            action = ("read", loc)
+            return _READ, lambda env: action
+        lpure, locate = _compile_loc(expr, private)
+        if lpure:
+            return _READ, lambda env: ("read", locate(env))
+
+        def read(env):
+            return (yield ("read", (yield from locate(env))))
+        return _GEN, read
     if isinstance(expr, BinOp):
-        left = yield from _eval(expr.left, env)
-        right = yield from _eval(expr.right, env)
-        return _arith(expr.op, left, right)
-    raise ExecutionError(f"cannot evaluate {expr!r}")
+        op = _op(expr.op)
+        lform, left = _compile_expr(expr.left, private)
+        rform, right = _compile_expr(expr.right, private)
+        if lform == rform == _PURE:
+            return _PURE, lambda env: op(left(env), right(env))
+        lpure, lread = lform == _PURE, lform == _READ
+        rpure, rread = rform == _PURE, rform == _READ
+
+        def binop(env):
+            a = left(env) if lpure else (yield left(env)) if lread else (yield from left(env))
+            b = right(env) if rpure else (yield right(env)) if rread else (yield from right(env))
+            return op(a, b)
+        return _GEN, binop
+    return _PURE, _raiser(f"cannot evaluate {expr!r}")
 
 
-def _exec(stmt, env: dict):
-    """Generator executing one statement."""
-    if isinstance(stmt, Assign):
-        yield from _exec_assign(stmt, env, atomic=False)
-    elif isinstance(stmt, AtomicStmt):
-        yield from _exec_assign(stmt.update, env, atomic=True)
-    elif isinstance(stmt, Seq):
-        for s in stmt:
-            yield from _exec(s, env)
-    elif isinstance(stmt, IfStmt):
-        cond = yield from _eval(stmt.cond, env)
-        if cond:
-            yield from _exec(stmt.then_body, env)
-        elif stmt.else_body is not None:
-            yield from _exec(stmt.else_body, env)
-    elif isinstance(stmt, Loop):
-        if stmt.pragma is not None:
-            raise ExecutionError("nested parallel constructs are not supported")
-        lo = _as_index((yield from _eval(stmt.lo, env)))
-        hi = _as_index((yield from _eval(stmt.hi, env)))
-        stop = hi + 1 if stmt.inclusive else hi
-        saved = stmt.var in env
-        old = env.get(stmt.var)
-        for i in range(lo, stop, stmt.step):
-            env[stmt.var] = i
-            yield from _exec(stmt.body, env)
-        if saved:
-            env[stmt.var] = old
-        else:
-            env.pop(stmt.var, None)
-    elif isinstance(stmt, CriticalSection):
-        lock = f"$critical:{stmt.name or '<anon>'}"
-        yield ("acquire", lock)
-        try:
-            yield from _exec(stmt.body, env)
-        finally:
-            yield ("release", lock)
-    elif isinstance(stmt, OrderedBlock):
-        yield ("acquire", "$ordered")
-        try:
-            yield from _exec(stmt.body, env)
-        finally:
-            yield ("release", "$ordered")
-    elif isinstance(stmt, Barrier):
-        yield ("barrier",)
-    elif isinstance(stmt, FlushStmt):
-        pass  # memory model noise; no scheduling effect in this machine
-    elif isinstance(stmt, MasterSection):
-        am_master = yield ("am_master",)
-        if am_master:
-            yield from _exec(stmt.body, env)
-    elif isinstance(stmt, SingleSection):
-        chosen = yield ("single",)
-        if chosen:
-            yield from _exec(stmt.body, env)
-        if not stmt.nowait:
-            yield ("barrier",)
-    elif isinstance(stmt, ParallelRegion):
-        raise ExecutionError("nested parallel regions are not supported")
-    else:
-        raise ExecutionError(f"cannot execute {stmt!r}")
+def _constant_loc(target: Idx) -> tuple | None:
+    """``target``'s location when its index is an integer constant."""
+    index = target.index
+    if isinstance(index, Num) and type(index.value) is int:
+        return ("arr", target.array, index.value)
+    return None
 
 
-def _refers_to(expr, loc: tuple) -> bool:
-    """Whether ``expr`` names ``loc``'s scalar, or an element of its array."""
-    if isinstance(expr, Var):
-        return loc == ("sca", expr.name)
-    return isinstance(expr, Idx) and loc[0] == "arr" and loc[1] == expr.array
-
-
-def _exec_assign(stmt: Assign, env: dict, atomic: bool):
-    target = stmt.target
+def _compile_loc(target, private: frozenset) -> tuple:
+    """A shared target's location as ``(pure, fn)``: ``fn(env)`` returns
+    it, or (when the index reads shared memory) a generator does."""
     if isinstance(target, Var):
+        loc = ("sca", target.name)
+        return True, lambda env: loc
+    const = _constant_loc(target)
+    if const is not None:
+        return True, lambda env: const
+    array = target.array
+    iform, index = _compile_expr(target.index, private)
+    if iform == _PURE:
+        return True, lambda env: ("arr", array, _as_index(index(env)))
+    iread = iform == _READ
+
+    def locate(env):
+        i = (yield index(env)) if iread else (yield from index(env))
+        return ("arr", array, _as_index(i))
+    return False, locate
+
+
+def _compile_assign(stmt: Assign, private: frozenset, atomic: bool) -> tuple:
+    target, expr, op = stmt.target, stmt.expr, stmt.op
+    if isinstance(target, Var) and target.name in private:
+        # Private variable: no shared events at all (atomic or not).
         name = target.name
-        if name in env:
-            # Private variable: no shared events at all.
-            rhs = yield from _eval(stmt.expr, env)
-            env[name] = rhs if stmt.op is None else _arith(stmt.op, env[name], rhs)
-            return
-        loc = ("sca", name)
-    else:
-        loc = ("arr", target.array, _as_index((yield from _eval(target.index, env))))
-    expr, op = stmt.expr, stmt.op
-    if atomic:
+        fn = None if op is None else _op(op)
+        form, value = _compile_expr(expr, private)
+        if form == _PURE:
+            def assign(env):
+                rhs = value(env)
+                env[name] = rhs if fn is None else fn(env[name], rhs)
+            return False, assign
+        vread = form == _READ
+
+        def assign(env):
+            rhs = (yield value(env)) if vread else (yield from value(env))
+            env[name] = rhs if fn is None else fn(env[name], rhs)
+        return True, assign
+    if not isinstance(target, (Var, Idx)):
+        return False, _raiser(f"cannot assign to {target!r}")
+    if atomic and op is None and isinstance(expr, BinOp) and (
+        (isinstance(target, Var) and isinstance(expr.left, Var) and expr.left.name == target.name)
+        or (isinstance(target, Idx) and isinstance(expr.left, Idx) and expr.left.array == target.array)
+    ):
         # Fortran-style `s = s + x(i)` under atomic: evaluate the RHS
-        # reads normally, then commit the RMW indivisibly.  A plain
-        # store (`#pragma omp atomic write`) is indivisible too.
-        if op is None and isinstance(expr, BinOp) and _refers_to(expr.left, loc):
-            expr, op = expr.right, expr.op
-        rhs = yield from _eval(expr, env)
-        yield ("atomic", loc, op, rhs)
-        return
-    rhs = yield from _eval(expr, env)
-    if op is not None:
-        rhs = _arith(op, (yield ("read", loc)), rhs)
-    yield ("write", loc, rhs)
+        # reads normally, then commit the RMW indivisibly.
+        expr, op = expr.right, expr.op
+    lpure, loc = _compile_loc(target, private)
+    form, value = _compile_expr(expr, private)
+    vpure, vread = form == _PURE, form == _READ
+    if atomic:
+        # A plain store (`#pragma omp atomic write`) is indivisible too.
+        def assign(env):
+            where = loc(env) if lpure else (yield from loc(env))
+            rhs = value(env) if vpure else (yield value(env)) if vread else (yield from value(env))
+            yield ("atomic", where, op, rhs)
+        return True, assign
+    fn = None if op is None else _op(op)
+
+    def assign(env):
+        where = loc(env) if lpure else (yield from loc(env))
+        rhs = value(env) if vpure else (yield value(env)) if vread else (yield from value(env))
+        if fn is not None:
+            rhs = fn((yield ("read", where)), rhs)
+        yield ("write", where, rhs)
+    return True, assign
+
+
+def _compile_seq(seq: Seq, private: frozenset) -> tuple:
+    steps = [_compile_stmt(s, private) for s in seq]
+    steps = tuple(step for step in steps if step[1] is not _noop)
+    if not steps:
+        return False, _noop
+    if len(steps) == 1:
+        return steps[0]
+    if not any(gen for gen, _ in steps):
+        fns = tuple(fn for _, fn in steps)
+
+        def run(env):
+            for fn in fns:
+                fn(env)
+        return False, run
+
+    def run(env):
+        for gen, fn in steps:
+            if gen:
+                yield from fn(env)
+            else:
+                fn(env)
+    return True, run
+
+
+def _compile_if(stmt: IfStmt, private: frozenset) -> tuple:
+    cform, cond = _compile_expr(stmt.cond, private)
+    tgen, then = _compile_stmt(stmt.then_body, private)
+    egen, other = (False, _noop) if stmt.else_body is None else _compile_stmt(stmt.else_body, private)
+    if cform == _PURE and not (tgen or egen):
+        def branch(env):
+            if cond(env):
+                then(env)
+            else:
+                other(env)
+        return False, branch
+    cpure, cread = cform == _PURE, cform == _READ
+
+    def branch(env):
+        taken = cond(env) if cpure else (yield cond(env)) if cread else (yield from cond(env))
+        if taken:
+            if tgen:
+                yield from then(env)
+            else:
+                then(env)
+        elif egen:
+            yield from other(env)
+        else:
+            other(env)
+    return True, branch
+
+
+def _compile_loop(loop: Loop, private: frozenset) -> tuple:
+    """A serial loop; its variable is private inside the body only."""
+    var, step, extra = loop.var, loop.step, 1 if loop.inclusive else 0
+    saved = var in private
+    lo_form, lo = _compile_expr(loop.lo, private)
+    hi_form, hi = _compile_expr(loop.hi, private)
+    bgen, body = _compile_stmt(loop.body, private | {var})
+    if lo_form == hi_form == _PURE and not bgen:
+        def run(env):
+            start = _as_index(lo(env))
+            stop = _as_index(hi(env)) + extra
+            old = env.get(var)
+            for i in range(start, stop, step):
+                env[var] = i
+                body(env)
+            if saved:
+                env[var] = old
+            else:
+                env.pop(var, None)
+        return False, run
+    lpure, lread = lo_form == _PURE, lo_form == _READ
+    hpure, hread = hi_form == _PURE, hi_form == _READ
+
+    def run(env):
+        start = _as_index(lo(env) if lpure else (yield lo(env)) if lread else (yield from lo(env)))
+        stop = _as_index(hi(env) if hpure else (yield hi(env)) if hread else (yield from hi(env))) + extra
+        old = env.get(var)
+        for i in range(start, stop, step):
+            env[var] = i
+            if bgen:
+                yield from body(env)
+            else:
+                body(env)
+        if saved:
+            env[var] = old
+        else:
+            env.pop(var, None)
+    return True, run
+
+
+def _locked(lock: str, gen: bool, body) -> tuple:
+    acquire, release = ("acquire", lock), ("release", lock)
+
+    def run(env):
+        yield acquire
+        try:
+            if gen:
+                yield from body(env)
+            else:
+                body(env)
+        finally:
+            yield release
+    return True, run
+
+
+def _gated(ask: tuple, gen: bool, body, barrier: bool) -> tuple:
+    """``master``/``single``: run ``body`` if the scheduler answers yes."""
+    def run(env):
+        if (yield ask):
+            if gen:
+                yield from body(env)
+            else:
+                body(env)
+        if barrier:
+            yield _BARRIER
+    return True, run
+
+
+def _barrier(env):
+    yield _BARRIER
+
+
+def _compile_stmt(stmt, private: frozenset) -> tuple:
+    if isinstance(stmt, Assign):
+        return _compile_assign(stmt, private, atomic=False)
+    if isinstance(stmt, AtomicStmt):
+        return _compile_assign(stmt.update, private, atomic=True)
+    if isinstance(stmt, Seq):
+        return _compile_seq(stmt, private)
+    if isinstance(stmt, IfStmt):
+        return _compile_if(stmt, private)
+    if isinstance(stmt, Loop):
+        if stmt.pragma is not None:
+            return False, _raiser("nested parallel constructs are not supported")
+        return _compile_loop(stmt, private)
+    if isinstance(stmt, CriticalSection):
+        return _locked(f"$critical:{stmt.name or '<anon>'}", *_compile_stmt(stmt.body, private))
+    if isinstance(stmt, OrderedBlock):
+        return _locked("$ordered", *_compile_stmt(stmt.body, private))
+    if isinstance(stmt, Barrier):
+        return True, _barrier
+    if isinstance(stmt, FlushStmt):
+        return False, _noop  # memory model noise; no scheduling effect here
+    if isinstance(stmt, MasterSection):
+        return _gated(("am_master",), *_compile_stmt(stmt.body, private), barrier=False)
+    if isinstance(stmt, SingleSection):
+        return _gated(("single",), *_compile_stmt(stmt.body, private), barrier=not stmt.nowait)
+    if isinstance(stmt, ParallelRegion):
+        return False, _raiser("nested parallel regions are not supported")
+    return False, _raiser(f"cannot execute {stmt!r}")
+
+
+_NO_PRIVATES: frozenset = frozenset()
+
+
+class CompiledProgram:
+    """A program and the closures compiled from it.
+
+    Construction does no work: each body compiles the first time an
+    execution reaches it, and every later :meth:`execute` reuses it.
+    """
+
+    def __init__(self, program: Program) -> None:
+        self.program = program
+        self._code: dict = {}
+
+    def stmt(self, node, private: frozenset = _NO_PRIVATES) -> tuple:
+        """``(is_gen, fn)`` for a statement run with ``private`` names."""
+        key = (id(node), private)
+        code = self._code.get(key)
+        if code is None:
+            code = self._code[key] = _compile_stmt(node, private)
+        return code
+
+    def expr(self, node) -> tuple:
+        """``(form, fn)`` for an expression evaluated serially."""
+        key = (id(node), None)
+        code = self._code.get(key)
+        if code is None:
+            code = self._code[key] = _compile_expr(node, _NO_PRIVATES)
+        return code
+
+    def execute(self, n_threads: int = 2, schedule_seed: int = 0, strategy: str = "random") -> Trace:
+        """Run the program once under a seeded exploration strategy."""
+        if n_threads < 1:
+            raise ValueError("need at least one thread")
+        trace = Trace(
+            clock_bank=ClockBank(),
+            schedule_seed=schedule_seed,
+            schedule_strategy=strategy,
+            n_threads=n_threads,
+        )
+        picker = make_strategy(strategy, np.random.PCG64(schedule_seed))
+        return _Execution(self, n_threads, picker, trace).run()
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +533,15 @@ _REDUCTION_INIT = {"+": 0.0, "-": 0.0, "*": 1.0, "max": -np.inf, "min": np.inf}
 
 
 class _Thread:
-    __slots__ = ("tid", "gen", "vc", "locks", "status", "send_value", "is_master", "lane")
+    __slots__ = ("tid", "gen", "vc", "locks", "status", "action", "send_value", "is_master", "lane")
 
     def __init__(self, tid, gen, vc: EpochClock, is_master: bool = False, lane: bool = False) -> None:
         self.tid = tid
         self.gen = gen
         self.vc = vc
-        self.locks: set[str] = set()
+        self.locks = frozenset()  # held locks; its events share this set
         self.status = "ready"  # ready | blocked | barrier | done
+        self.action = None  # pending action; None when resumed after a block
         self.send_value = None
         self.is_master = is_master
         self.lane = lane
@@ -323,36 +571,21 @@ class _Scheduler:
         self.single_winner: dict[int, object] = {}
         self.single_counter: dict[object, int] = {}
 
-    # -- event logging -------------------------------------------------------
-
-    def _log(self, t: _Thread, is_write: bool, loc: tuple, atomic: bool = False) -> None:
+    def _log(self, t: _Thread, is_write: bool, loc: tuple, atomic: bool) -> None:
         # Events share one interned row per sync interval: vc.row()
         # only allocates when the clock changed.
-        row = t.vc.row()
-        self.trace.events.append(
-            MemEvent(
-                seq=next(self.seq),
-                tid=t.tid,
-                is_write=is_write,
-                loc=loc,
-                clock_row=row,
-                locks=frozenset(t.locks),
-                atomic=atomic,
-                lane=t.lane,
-                region=self.region,
-            )
-        )
-
-    # -- action processing ------------------------------------------------------
+        self.trace.events.append(MemEvent(
+            next(self.seq), t.tid, is_write, loc, t.vc.row(), t.locks, atomic, t.lane, self.region,
+        ))
 
     def _process(self, t: _Thread, action: tuple) -> bool:
-        """Apply ``action``; returns True if the thread stays ready (its
-        ``send_value`` holds the resume payload)."""
+        """Apply a non-``read``/``write`` action; returns True if the thread
+        stays ready (its ``send_value`` holds the resume payload)."""
         kind = action[0]
-        if kind in ("read", "write", "atomic"):
-            if kind == "atomic" and action[2] is not None:  # read-modify-write
-                self._log(t, False, action[1], atomic=True)
-            self._log(t, kind != "read", action[1], atomic=kind == "atomic")
+        if kind == "atomic":
+            if action[2] is not None:  # read-modify-write
+                self._log(t, False, action[1], True)
+            self._log(t, True, action[1], True)
             t.send_value = _access(self.mem, action)
             return True
         if kind == "acquire":
@@ -360,7 +593,7 @@ class _Scheduler:
             owner = self.lock_owner.get(name)
             if owner is None:
                 self.lock_owner[name] = t.tid
-                t.locks.add(name)
+                t.locks = t.locks | {name}
                 lvc = self.lock_vcs.get(name)
                 if lvc is not None:
                     t.vc.join(lvc)
@@ -375,13 +608,13 @@ class _Scheduler:
                 raise ExecutionError(f"thread {t.tid} released lock {name!r} it does not own")
             self.lock_vcs[name] = t.vc.snapshot()
             t.vc.tick(t.tid)
-            t.locks.discard(name)
+            t.locks = t.locks - {name}
             del self.lock_owner[name]
             waiters = self.lock_waiters.get(name)
             if waiters:
                 nxt = waiters.pop(0)
                 self.lock_owner[name] = nxt.tid
-                nxt.locks.add(name)
+                nxt.locks = nxt.locks | {name}
                 nxt.vc.join(self.lock_vcs[name])
                 nxt.status = "ready"
                 nxt.send_value = None
@@ -401,58 +634,75 @@ class _Scheduler:
             return True
         raise ExecutionError(f"unknown action {kind!r}")
 
-    # -- the scheduling loop --------------------------------------------------------
+    def _release_barrier(self, threads: list[_Thread], live: int) -> None:
+        """No thread is ready: release a barrier every live thread has
+        reached (join clocks, tick, resume everyone), else deadlock."""
+        waiting = [t for t in threads if t.status == "barrier"]
+        if not waiting or len(waiting) != live:
+            raise ExecutionError(
+                "deadlock: no runnable thread "
+                f"(states: {[(t.tid, t.status) for t in threads]})"
+            )
+        merged = EpochClock(self.bank)
+        for t in threads:
+            merged.join(t.vc.values)
+        for t in waiting:
+            t.vc = merged.copy()
+            t.vc.tick(t.tid)
+            t.status = "ready"
+            t.send_value = None
 
     def run(self, threads: list[_Thread]) -> None:
         # Start every generator to its first action.
-        pending: dict[object, tuple | None] = {}
+        live = 0
         for t in threads:
             try:
-                pending[t.tid] = t.gen.send(None)
+                t.action = t.gen.send(None)
+                live += 1
             except StopIteration:
                 t.status = "done"
-                pending[t.tid] = None
-
-        def ready_threads() -> list[_Thread]:
-            return [t for t in threads if t.status == "ready"]
-
-        while any(t.status != "done" for t in threads):
-            ready = ready_threads()
-            if not ready:
-                waiting = [t for t in threads if t.status == "barrier"]
-                live = [t for t in threads if t.status != "done"]
-                if waiting and len(waiting) == len(live):
-                    # Barrier release: join clocks, tick, resume everyone.
-                    merged = EpochClock(self.bank)
-                    for t in threads:
-                        merged.join(t.vc.values)
-                    for t in waiting:
-                        t.vc = merged.copy()
-                        t.vc.tick(t.tid)
-                        t.status = "ready"
-                        t.send_value = None
+        mem, events, seq, region = self.mem, self.trace.events, self.seq, self.region
+        pick = self.strategy.pick
+        new = tuple.__new__  # builds a MemEvent without its Python-level __new__
+        # The ready threads in team order, rebuilt only when a status changes.
+        ready = None
+        while live:
+            if ready is None:
+                ready = [t for t in threads if t.status == "ready"]
+                if not ready:
+                    self._release_barrier(threads, live)
+                    ready = None
                     continue
-                raise ExecutionError(
-                    "deadlock: no runnable thread "
-                    f"(states: {[(t.tid, t.status) for t in threads]})"
-                )
-            t = self.strategy.pick(ready, pending)
-            action = pending[t.tid]
+            t = pick(ready)
+            action = t.action
             if action is None:
-                # Thread resumed after block; pull the next action.
-                try:
-                    pending[t.tid] = t.gen.send(t.send_value)
-                except StopIteration:
-                    t.status = "done"
-                continue
-            stays_ready = self._process(t, action)
-            if stays_ready:
-                try:
-                    pending[t.tid] = t.gen.send(t.send_value)
-                except StopIteration:
-                    t.status = "done"
+                send = t.send_value  # resumed after a block: pull the next action
             else:
-                pending[t.tid] = None  # re-armed when unblocked
+                kind = action[0]
+                if kind == "read" or kind == "write":
+                    is_write = kind == "write"
+                    events.append(new(MemEvent, (
+                        next(seq), t.tid, is_write, action[1], t.vc.row(), t.locks, False, t.lane, region,
+                    )))
+                    if is_write:
+                        mem.store(action[1], action[2])
+                        send = None
+                    else:
+                        send = mem.load(action[1])
+                elif self._process(t, action):
+                    send = t.send_value
+                    if kind == "release":
+                        ready = None  # a waiter may have taken the lock
+                else:
+                    t.action = None  # re-armed when unblocked
+                    ready = None
+                    continue
+            try:
+                t.action = t.gen.send(send)
+            except StopIteration:
+                t.status = "done"
+                live -= 1
+                ready = None
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +713,9 @@ class _Scheduler:
 class _Execution:
     """One run of a program: serial top-level statements plus teams."""
 
-    def __init__(self, program: Program, n_threads: int, strategy: ScheduleStrategy, trace: Trace) -> None:
-        self.program = program
-        self.mem = SharedMemory(program)
+    def __init__(self, code: CompiledProgram, n_threads: int, strategy: ScheduleStrategy, trace: Trace) -> None:
+        self.code = code
+        self.mem = SharedMemory(code.program)
         self.n_threads = n_threads
         self.strategy = strategy
         self.trace = trace
@@ -490,8 +740,20 @@ class _Execution:
             else:
                 send = True if kind in ("am_master", "single") else None
 
+    def _run_serial(self, stmt) -> None:
+        gen, fn = self.code.stmt(stmt)
+        if gen:
+            self._drain(fn({}))
+        else:
+            fn({})
+
     def _eval_serial(self, expr) -> int:
-        return _as_index(self._drain(_eval(expr, {})))
+        form, fn = self.code.expr(expr)
+        if form == _PURE:
+            return _as_index(fn({}))
+        if form == _READ:
+            return _as_index(_access(self.mem, fn({})))
+        return _as_index(self._drain(fn({})))
 
     # -- spawning ------------------------------------------------------------
 
@@ -510,6 +772,11 @@ class _Execution:
         for v in loop_vars:
             env[v] = 0  # loop variables are always private
         return env
+
+    def _body(self, pragma: Pragma, node, loop_vars: list[str]) -> tuple:
+        """``node`` compiled against the names a team member keeps private."""
+        private = frozenset(pragma.private_vars).union(pragma.reductions, loop_vars)
+        return self.code.stmt(node, private)
 
     def _run_team(self, pragma: Pragma, tids: list, body, loop_vars: list[str], lane: bool = False) -> None:
         """Run one thread per ``tids`` entry to completion, the ``k``-th
@@ -566,10 +833,10 @@ class _Execution:
         if collapse_args and int(collapse_args[0]) >= 2:
             if int(collapse_args[0]) != 2:
                 raise ExecutionError("only collapse(2) is supported")
-            space, loop_vars, body = self._collapse_space(loop)
+            space, loop_vars, node = self._collapse_space(loop)
         else:
             space = [(i,) for i in self._iterations(loop)]
-            loop_vars, body = [loop.var], loop.body
+            loop_vars, node = [loop.var], loop.body
 
         n = pragma.num_threads or self.n_threads
         sched_args = pragma.clause_args("schedule")
@@ -586,6 +853,7 @@ class _Execution:
             # it in one grab.
             grab = (len(space) + n - 1) // n
             queues = [space[k * grab : (k + 1) * grab] for k in range(n)]
+        gen, body = self._body(pragma, node, loop_vars)
 
         def worker(k: int, env: dict):
             queue = queues[k]
@@ -594,7 +862,10 @@ class _Execution:
                 del queue[:grab]
                 for point in grabbed:
                     env.update(zip(loop_vars, point))
-                    yield from _exec(body, env)
+                    if gen:
+                        yield from body(env)
+                    else:
+                        body(env)
 
         tids = [("dev", k) if pragma.is_target else k for k in range(n)]
         self._run_team(pragma, tids, worker, loop_vars)
@@ -604,25 +875,38 @@ class _Execution:
         safelen_args = loop.pragma.clause_args("safelen")
         vl = int(safelen_args[0]) if safelen_args else 4
         n_chunks = (len(iters) + vl - 1) // vl
+        var = loop.var
+        gen, body = self._body(loop.pragma, loop.body, [var])
 
         def lane_worker(lane: int, env: dict):
             for c in range(n_chunks):
                 pos = c * vl + lane
                 if pos < len(iters):
-                    env[loop.var] = iters[pos]
-                    yield from _exec(loop.body, env)
-                yield ("barrier",)  # end of the vector step
+                    env[var] = iters[pos]
+                    if gen:
+                        yield from body(env)
+                    else:
+                        body(env)
+                yield _BARRIER  # end of the vector step
 
         tids = [("lane", lane) for lane in range(vl)]
-        self._run_team(loop.pragma, tids, lane_worker, [loop.var], lane=True)
+        self._run_team(loop.pragma, tids, lane_worker, [var], lane=True)
 
     def run_parallel_region(self, node: ParallelRegion) -> None:
         pragma = node.pragma or Pragma("parallel")
         n = pragma.num_threads or self.n_threads
-        self._run_team(pragma, list(range(n)), lambda k, env: _exec(node.body, env), [])
+        gen, body = self._body(pragma, node.body, [])
+
+        def member(k: int, env: dict):
+            if gen:
+                yield from body(env)
+            else:
+                body(env)
+
+        self._run_team(pragma, list(range(n)), member, [])
 
     def run(self) -> Trace:
-        for stmt in self.program.body:
+        for stmt in self.code.program.body:
             if isinstance(stmt, Loop) and stmt.pragma is not None:
                 kind = stmt.pragma.kind
                 if kind == "simd" or "for" in kind.split() or kind.startswith("target"):
@@ -632,7 +916,7 @@ class _Execution:
             elif isinstance(stmt, ParallelRegion):
                 self.run_parallel_region(stmt)
             else:
-                self._drain(_exec(stmt, {}))
+                self._run_serial(stmt)
         self.trace.final_arrays = self.mem.snapshot()
         return self.trace
 
@@ -646,15 +930,8 @@ def execute(
     """Run ``program`` once under a seeded exploration strategy.
 
     ``strategy="random"`` reproduces the seed machine bit for bit; see
-    :mod:`repro.runtime.schedules` for the other policies.
+    :mod:`repro.runtime.schedules` for the other policies.  To run one
+    program under several schedules, build a :class:`CompiledProgram`
+    once and call its :meth:`~CompiledProgram.execute` per schedule.
     """
-    if n_threads < 1:
-        raise ValueError("need at least one thread")
-    rng = np.random.Generator(np.random.PCG64(schedule_seed))
-    trace = Trace(
-        clock_bank=ClockBank(),
-        schedule_seed=schedule_seed,
-        schedule_strategy=strategy,
-        n_threads=n_threads,
-    )
-    return _Execution(program, n_threads, make_strategy(strategy, rng), trace).run()
+    return CompiledProgram(program).execute(n_threads, schedule_seed, strategy)

@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.openmp.ast_nodes import Program
-from repro.runtime.interpreter import MemEvent, Trace, execute
+from repro.runtime.interpreter import CompiledProgram, MemEvent, Trace
 from repro.runtime.schedules import SCHEDULE_STRATEGIES
 
 
@@ -189,14 +189,11 @@ class Machine:
 
     def iter_traces(self, program: Program) -> Iterator[Trace]:
         """Lazily execute one schedule at a time, in plan order — the
-        short-circuit substrate for :meth:`any_hb_race`."""
+        short-circuit substrate for :meth:`any_hb_race`.  The program
+        compiles once; every schedule reuses the compiled bodies."""
+        code = CompiledProgram(program)
         for strategy, seed in self.schedule_plan():
-            yield execute(
-                program,
-                n_threads=self.config.n_threads,
-                schedule_seed=seed,
-                strategy=strategy,
-            )
+            yield code.execute(self.config.n_threads, seed, strategy)
 
     def traces(self, program: Program) -> list[Trace]:
         return list(self.iter_traces(program))

@@ -22,12 +22,58 @@ pluggable pickers the scheduler consults at every scheduling point:
     — the schedules most likely to manifest value-dependent races.
 
 A strategy instance lives for one execution; ``pick`` sees the ready
-threads plus each thread's pending (not yet performed) action.
+threads, each carrying its pending (not yet performed) ``action``.
+
+Every random choice is one :meth:`BoundedDraws.integers` call, which
+returns exactly what ``np.random.Generator(PCG64(seed)).integers(n)``
+would: traces are pinned to that sequence, not to the call that makes it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+_WORD = 0xFFFFFFFF
+
+
+class BoundedDraws:
+    """``Generator.integers(n)`` for a PCG64 bit generator, in pure Python.
+
+    numpy draws a bounded integer below ``2**32`` by Lemire's
+    multiply-and-reject over 32-bit words, and PCG64 serves those words
+    low half first from each 64-bit output.  This replays that algorithm
+    over 64-bit words fetched in bulk with ``random_raw``, at a fraction
+    of the per-call cost of ``Generator.integers``.  As in numpy,
+    ``n == 1`` consumes no randomness.  ``n`` must be at most ``2**32``.
+    """
+
+    __slots__ = ("_raw", "_next")
+
+    def __init__(self, bit_generator: np.random.BitGenerator) -> None:
+        self._raw = bit_generator.random_raw
+        self._next = iter(()).__next__
+
+    def _word(self) -> int:
+        try:
+            return self._next()
+        except StopIteration:
+            words = []
+            for w in self._raw(32).tolist():
+                words.append(w & _WORD)
+                words.append(w >> 32)
+            self._next = it = iter(words).__next__
+            return it()
+
+    def integers(self, n: int) -> int:
+        """Uniform integer in ``[0, n)``."""
+        if n == 1:
+            return 0
+        m = self._word() * n
+        if m & _WORD < n:
+            threshold = (0x100000000 - n) % n
+            while m & _WORD < threshold:
+                m = self._word() * n
+        return m >> 32
 
 
 def _pending_access(action) -> tuple | None:
@@ -42,34 +88,36 @@ class ScheduleStrategy:
 
     name = "abstract"
 
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
+    def __init__(self, bits: np.random.BitGenerator) -> None:
+        self.draws = BoundedDraws(bits)
 
-    def pick(self, ready: list, pending: dict):
+    def pick(self, ready: list):
         raise NotImplementedError
 
 
 class RandomStrategy(ScheduleStrategy):
     """Uniform random ready thread — the seed scheduler, exactly
-    (same RNG draw per scheduling point, so traces are bit-identical
-    to the pre-strategy machine)."""
+    (same draw per scheduling point, so traces are bit-identical to the
+    pre-strategy machine).  With one ready thread there is nothing to
+    draw, so the pick skips the call."""
 
     name = "random"
 
-    def pick(self, ready: list, pending: dict):
-        return ready[int(self.rng.integers(len(ready)))]
+    def pick(self, ready: list):
+        n = len(ready)
+        return ready[0] if n == 1 else ready[self.draws.integers(n)]
 
 
 class _LruMixin(ScheduleStrategy):
     """Shared least-recently-run bookkeeping."""
 
-    def __init__(self, rng: np.random.Generator) -> None:
-        super().__init__(rng)
+    def __init__(self, bits: np.random.BitGenerator) -> None:
+        super().__init__(bits)
         self._step = 0
         self._last_run: dict = {}
         # Seed-derived bias so different schedule seeds explore
         # different rotations of the same policy.
-        self._offset = int(rng.integers(1 << 16))
+        self._offset = self.draws.integers(1 << 16)
 
     def _lru(self, candidates: list):
         self._step += 1
@@ -90,7 +138,7 @@ class RoundRobinStrategy(_LruMixin):
 
     name = "round_robin"
 
-    def pick(self, ready: list, pending: dict):
+    def pick(self, ready: list):
         return self._lru(ready)
 
 
@@ -101,19 +149,19 @@ class ChunkedStrategy(ScheduleStrategy):
 
     name = "chunked"
 
-    def __init__(self, rng: np.random.Generator, chunk: int | None = None) -> None:
-        super().__init__(rng)
-        self.chunk = int(chunk) if chunk else 4 + int(rng.integers(13))
+    def __init__(self, bits: np.random.BitGenerator, chunk: int | None = None) -> None:
+        super().__init__(bits)
+        self.chunk = int(chunk) if chunk else 4 + self.draws.integers(13)
         self._current = None
         self._budget = 0
 
-    def pick(self, ready: list, pending: dict):
+    def pick(self, ready: list):
         if self._current is not None and self._budget > 0:
             for t in ready:
                 if t.tid == self._current:
                     self._budget -= 1
                     return t
-        t = ready[int(self.rng.integers(len(ready)))]
+        t = ready[self.draws.integers(len(ready))]
         self._current = t.tid
         self._budget = self.chunk - 1
         return t
@@ -133,10 +181,10 @@ class AdversarialStrategy(_LruMixin):
 
     name = "adversarial"
 
-    def pick(self, ready: list, pending: dict):
+    def pick(self, ready: list):
         by_loc: dict = {}
         for t in ready:
-            acc = _pending_access(pending.get(t.tid))
+            acc = _pending_access(t.action)
             if acc is not None:
                 by_loc.setdefault(acc[0], []).append((t, acc[1]))
         for group in by_loc.values():
@@ -151,10 +199,10 @@ SCHEDULE_STRATEGIES: dict[str, type] = {
 }
 
 
-def make_strategy(name: str, rng: np.random.Generator) -> ScheduleStrategy:
+def make_strategy(name: str, bits: np.random.BitGenerator) -> ScheduleStrategy:
     try:
         cls = SCHEDULE_STRATEGIES[name]
     except KeyError:
         known = ", ".join(sorted(SCHEDULE_STRATEGIES))
         raise ValueError(f"unknown schedule strategy {name!r} (known: {known})") from None
-    return cls(rng)
+    return cls(bits)

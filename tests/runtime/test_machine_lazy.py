@@ -2,9 +2,10 @@
 
 import pytest
 
-import repro.runtime.machine as machine_mod
+import repro.runtime.interpreter as interpreter
 from repro.openmp import parse_c
 from repro.runtime import Machine, MachineConfig, execute
+from repro.runtime.interpreter import CompiledProgram
 from repro.runtime.machine import hb_races
 from tests.runtime.hb_oracle import hb_races_reference
 
@@ -24,32 +25,35 @@ for (i = 0; i < 16; i++) { a[i] = i; }
 
 
 class _CountingExecute:
-    def __init__(self):
-        self.calls = 0
+    """Counts the schedules the machine executes (each one is a
+    ``CompiledProgram.execute`` call on the program compiled once)."""
 
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return execute(*args, **kwargs)
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        run = CompiledProgram.execute
+
+        def counted(code, *args, **kwargs):
+            self.calls += 1
+            return run(code, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledProgram, "execute", counted)
 
 
 class TestShortCircuit:
     def test_any_hb_race_stops_at_first_racy_schedule(self, monkeypatch):
-        counter = _CountingExecute()
-        monkeypatch.setattr(machine_mod, "execute", counter)
+        counter = _CountingExecute(monkeypatch)
         m = Machine(MachineConfig(n_threads=2, n_schedules=6))
         assert m.any_hb_race(parse_c(RACY))
         assert counter.calls == 1  # eager seed code executed all 6 up front
 
     def test_race_free_program_still_explores_all_schedules(self, monkeypatch):
-        counter = _CountingExecute()
-        monkeypatch.setattr(machine_mod, "execute", counter)
+        counter = _CountingExecute(monkeypatch)
         m = Machine(MachineConfig(n_threads=2, n_schedules=6))
         assert not m.any_hb_race(parse_c(RACE_FREE))
         assert counter.calls == 6
 
     def test_iter_traces_is_lazy(self, monkeypatch):
-        counter = _CountingExecute()
-        monkeypatch.setattr(machine_mod, "execute", counter)
+        counter = _CountingExecute(monkeypatch)
         m = Machine(MachineConfig(n_threads=2, n_schedules=4))
         it = m.iter_traces(parse_c(RACY))
         assert counter.calls == 0
@@ -57,6 +61,21 @@ class TestShortCircuit:
         assert counter.calls == 1
         next(it)
         assert counter.calls == 2
+
+    def test_program_compiles_once_across_schedules(self, monkeypatch):
+        compiled = []
+        compile_stmt = interpreter._compile_stmt
+
+        def counting(stmt, private):
+            compiled.append(id(stmt))
+            return compile_stmt(stmt, private)
+
+        monkeypatch.setattr(interpreter, "_compile_stmt", counting)
+        Machine(MachineConfig(n_threads=2, n_schedules=1)).traces(parse_c(RACY))
+        once = len(compiled)
+        compiled.clear()
+        Machine(MachineConfig(n_threads=2, n_schedules=4)).traces(parse_c(RACY))
+        assert once > 0 and len(compiled) == once
 
     def test_traces_still_returns_full_list(self):
         m = Machine(MachineConfig(n_threads=2, n_schedules=3))

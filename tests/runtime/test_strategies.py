@@ -7,7 +7,7 @@ import pytest
 from repro.openmp import parse_c
 from repro.runtime import Machine, MachineConfig, execute
 from repro.runtime.machine import hb_races
-from repro.runtime.schedules import SCHEDULE_STRATEGIES
+from repro.runtime.schedules import SCHEDULE_STRATEGIES, BoundedDraws
 
 ALL = sorted(SCHEDULE_STRATEGIES)
 
@@ -142,3 +142,48 @@ for (i = 0; i < 24; i++) { a[i] = 1; }
     writers = {e.tid for e in trace.events if e.is_write}
     assert writers == {0, 1}
     np.testing.assert_allclose(trace.final_arrays["a"], np.ones(24))
+
+
+# -- the one bounded draw every strategy makes ----------------------------------
+
+# Above 2**31 about half of all 32-bit words fall in Lemire's rejection
+# zone, so draws at this bound exercise the retry loop.
+REJECTING_N = 2**31 + 5
+
+
+def _numpy_draws(seed: int, ns: list[int]) -> list[int]:
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [int(rng.integers(n)) for n in ns]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_bounded_draws_match_numpy_integers(seed):
+    mixed = [2 + (k * 5 + seed) % 8 for k in range(600)]  # n in 2..9
+    draws = BoundedDraws(np.random.PCG64(seed))
+    assert [draws.integers(n) for n in mixed] == _numpy_draws(seed, mixed)
+    # Interleave the rejecting bound with small ones and with n == 1.
+    ns = [REJECTING_N, 3, 1, REJECTING_N, 2, 1 << 16, 13, 1, REJECTING_N] * 40
+    draws = BoundedDraws(np.random.PCG64(seed))
+    assert [draws.integers(n) for n in ns] == _numpy_draws(seed, ns)
+
+
+def test_rejecting_bound_rejects():
+    words = [
+        w >> shift & 0xFFFFFFFF
+        for w in np.random.PCG64(0).random_raw(8).tolist()
+        for shift in (0, 32)
+    ]
+    threshold = (2**32 - REJECTING_N) % REJECTING_N
+    assert any((w * REJECTING_N) & 0xFFFFFFFF < threshold for w in words)
+
+
+def test_drawing_below_one_consumes_nothing():
+    bits = np.random.PCG64(3)
+    state = bits.state
+    draws = BoundedDraws(bits)
+    assert [draws.integers(1) for _ in range(20)] == [0] * 20
+    assert bits.state == state
+    # numpy's own behaviour, which the strategies' one-thread picks rely on.
+    rng = np.random.Generator(np.random.PCG64(3))
+    assert [int(rng.integers(1)) for _ in range(20)] == [0] * 20
+    assert rng.bit_generator.state == state
